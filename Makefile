@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race check lint allocguard chaos crashtest fedtest crawldtest tracetest bench bench-hotpath bench-scale experiments examples fuzz cover clean
+.PHONY: all build vet test test-short race check lint allocguard chaos crashtest fedtest crawldtest tracetest ledgertest bench bench-hotpath bench-scale experiments examples fuzz cover clean
 
 all: build vet test
 
@@ -27,8 +27,9 @@ race:
 # full suite under the race detector, the allocation-regression guard
 # (which -race would skip), the kill-anywhere crash-recovery matrix
 # against the real binaries (smartcrawl and crawld), the federation
-# suite, the crawld service suite, and the trace-tooling suite.
-check: lint race allocguard crashtest fedtest crawldtest tracetest
+# suite, the crawld service suite, the trace-tooling suite, and the
+# benchmark ledger's own suite.
+check: lint race allocguard crashtest fedtest crawldtest tracetest ledgertest
 
 # Static analysis: go vet, a gofmt cleanliness gate, and staticcheck when
 # the binary is on PATH (it is optional — the repo builds with the
@@ -87,6 +88,13 @@ fedtest:
 # `go test ./cmd/tracetool/ -update`.
 tracetest:
 	$(GO) test -race -count=1 -v ./internal/trace/ ./cmd/tracetool/
+
+# Ledger drill (ledger/README.md): the benchmark's own module tests. Every
+# crawl they run must reproduce the per-seed digest recorded in
+# ledger/oracle.json (query log, covered local IDs, matched hidden IDs), so
+# this is the byte-identity oracle for changes to the crawl loop.
+ledgertest:
+	cd ledger && $(GO) test ./...
 
 # One pass over every per-figure bench, tables visible in the log.
 bench:

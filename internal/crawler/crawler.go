@@ -22,7 +22,6 @@ package crawler
 
 import (
 	"errors"
-	"fmt"
 
 	"smartcrawl/internal/deepweb"
 	"smartcrawl/internal/index"
@@ -141,14 +140,6 @@ type tracker struct {
 	env    *Env
 	joiner *match.Joiner
 	res    *Result
-	// names holds the interface names of a federated crawl, indexed by
-	// interface index; nil for every single-interface framework, which
-	// keeps their obs output untagged and byte-identical to before
-	// federation existed.
-	names []string
-	// ifm holds the per-interface obs metric handles aligned with names;
-	// nil when obs is disabled or the crawl is not federated.
-	ifm []*obs.IfaceMetrics
 }
 
 func newTracker(env *Env) *tracker {
@@ -167,7 +158,16 @@ func newTracker(env *Env) *tracker {
 // absorb records a query result: returns the local record IDs newly
 // covered by it and logs the step.
 func (t *tracker) absorb(q deepweb.Query, benefit float64, recs []*relational.Record) []int {
-	return t.absorbSized(q, benefit, recs, len(recs), t.env.Searcher.K(), 0)
+	return t.absorbSized(q, benefit, recs, len(recs), source{k: t.env.Searcher.K()})
+}
+
+// source identifies the interface that answered a query: its result limit
+// k (interfaces of a federated crawl differ in k), its index, and the obs
+// tagging only a federated crawl sets (name and per-interface metrics).
+type source struct {
+	k, idx  int
+	name    string
+	metrics *obs.IfaceMetrics
 }
 
 // absorbSized is absorb for results whose true size differs from the
@@ -175,9 +175,7 @@ func (t *tracker) absorb(q deepweb.Query, benefit float64, recs []*relational.Re
 // interface matched resultSize. The step trace and the solidity decision
 // (resultSize < k drives both the obs event and §4.2 ΔD replay on resume)
 // use the true size, so a cut page is never mistaken for a solid result.
-// k is the result limit of the interface that answered (interfaces of a
-// federated crawl differ in k) and iface its index (0 when single).
-func (t *tracker) absorbSized(q deepweb.Query, benefit float64, recs []*relational.Record, resultSize, k, iface int) []int {
+func (t *tracker) absorbSized(q deepweb.Query, benefit float64, recs []*relational.Record, resultSize int, src source) []int {
 	var newly []int
 	var newHidden []int
 	for _, h := range recs {
@@ -203,19 +201,14 @@ func (t *tracker) absorbSized(q deepweb.Query, benefit float64, recs []*relation
 		CumulativeCovered: t.res.CoveredCount,
 		ResultSize:        resultSize,
 		NewHidden:         newHidden,
-		Iface:             iface,
+		Iface:             src.idx,
 	}
 	t.res.Steps = append(t.res.Steps, step)
-	solid := resultSize < k
+	solid := resultSize < src.k
 	if o := t.env.Obs; o != nil {
-		name := ""
-		if iface < len(t.names) {
-			name = t.names[iface]
-		}
-		o.QueryIface(name, q.Key(), benefit, resultSize, len(newly), t.res.CoveredCount, solid)
+		o.QueryIface(src.name, q.Key(), benefit, resultSize, len(newly), t.res.CoveredCount, solid)
 	}
-	if iface < len(t.ifm) && t.ifm[iface] != nil {
-		m := t.ifm[iface]
+	if m := src.metrics; m != nil {
 		m.Queries.Inc()
 		m.Covered.Add(int64(len(newly)))
 		if solid {
@@ -226,17 +219,4 @@ func (t *tracker) absorbSized(q deepweb.Query, benefit float64, recs []*relation
 		t.env.OnStep(step)
 	}
 	return newly
-}
-
-// issue sends q through the environment searcher, translating budget
-// exhaustion into a clean stop signal.
-func (t *tracker) issue(q deepweb.Query) ([]*relational.Record, bool, error) {
-	recs, err := t.env.Searcher.Search(q)
-	if err != nil {
-		if errors.Is(err, deepweb.ErrBudgetExhausted) {
-			return nil, false, nil
-		}
-		return nil, false, fmt.Errorf("crawler: issuing %q: %w", q, err)
-	}
-	return recs, true, nil
 }

@@ -79,31 +79,41 @@ func NewFederatedSmart(env *Env, cfg SmartConfig, ifaces []Interface) (*Smart, e
 		if h.Searcher == nil {
 			return nil, fmt.Errorf("crawler: interface %q has no searcher", h.Name)
 		}
-		if h.Estimator == nil {
-			if h.Sample != nil {
-				h.Estimator = estimator.Biased{}
-			} else {
-				h.Estimator = estimator.Frequency{}
-			}
-		}
-		if h.Sample == nil {
-			if _, ok := h.Estimator.(estimator.Frequency); !ok {
-				return nil, fmt.Errorf("crawler: interface %q: sample-based estimators require a sample", h.Name)
-			}
-		} else if h.Sample.Theta <= 0 {
-			return nil, fmt.Errorf("crawler: interface %q: sample has non-positive theta %v", h.Name, h.Sample.Theta)
-		}
-		if cfg.OnlineCalibration && h.Sample != nil {
-			return nil, fmt.Errorf("crawler: interface %q: OnlineCalibration replaces the sample; supply one or the other", h.Name)
+		if err := h.normalize(cfg.OnlineCalibration); err != nil {
+			return nil, fmt.Errorf("crawler: interface %q: %w", h.Name, err)
 		}
 	}
 	return &Smart{env: env, cfg: cfg, ifaces: own}, nil
 }
 
+// normalize fills in h's estimator default — Biased with a sample,
+// Frequency (QSel-Simple) without — and checks it against the sample and
+// the online-calibration mode.
+func (h *Interface) normalize(online bool) error {
+	if h.Estimator == nil {
+		if h.Sample != nil {
+			h.Estimator = estimator.Biased{}
+		} else {
+			h.Estimator = estimator.Frequency{}
+		}
+	}
+	if h.Sample == nil {
+		if _, ok := h.Estimator.(estimator.Frequency); !ok {
+			return errors.New("sample-based estimators require a sample")
+		}
+	} else if h.Sample.Theta <= 0 {
+		return fmt.Errorf("sample has non-positive theta %v", h.Sample.Theta)
+	}
+	if online && h.Sample != nil {
+		return errors.New("OnlineCalibration replaces the sample; supply one or the other")
+	}
+	return nil
+}
+
 // Interfaces returns the federation's interface names in index order, or
-// nil for a single-interface crawler.
+// nil for a crawler built by NewSmart (whose one interface is unnamed).
 func (s *Smart) Interfaces() []string {
-	if len(s.ifaces) == 0 {
+	if s.ifaces[0].Name == "" {
 		return nil
 	}
 	names := make([]string, len(s.ifaces))

@@ -128,3 +128,27 @@ func TestSelectionRecomputeMatchesScratch(t *testing.T) {
 		}
 	}
 }
+
+// countSatisfying is the string reference for countSatisfyingIDs: it
+// counts the sample positions (matching some local record) whose token
+// sets contain every query keyword.
+func countSatisfying(positions []int, sampleTokens []map[string]struct{}, q deepweb.Query) int {
+	if len(positions) == 0 {
+		return 0
+	}
+	n := 0
+	for _, pos := range positions {
+		set := sampleTokens[pos]
+		ok := true
+		for _, w := range q {
+			if _, in := set[w]; !in {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			n++
+		}
+	}
+	return n
+}

@@ -12,7 +12,6 @@ package crawler
 import (
 	"sync"
 
-	"smartcrawl/internal/estimator"
 	"smartcrawl/internal/index"
 	"smartcrawl/internal/lazyheap"
 	"smartcrawl/internal/match"
@@ -42,10 +41,15 @@ type idLookup interface {
 
 // selection is the live Algorithm-4 selection state: per-query statistics,
 // the dense forward index with its aligned sample-match counts, the
-// considered set, and the lazy priority queue.
+// considered set, and the lazy priority queue. It is the only code that
+// knows which selection policy runs: the §6.3 lazy queue, or with eager
+// set the Appendix B full rescan (same argmax, same tie-breaking).
 type selection struct {
 	states []*qstate
 	heap   *lazyheap.Queue
+	eager  bool
+	// score is the interface's benefit function.
+	score func(*qstate) float64
 
 	// fwd is F(d): the IDs of pool queries record d satisfies, ascending.
 	fwd *index.ForwardDense
@@ -59,10 +63,6 @@ type selection struct {
 	// considered[d] is false once d has been covered or predicted ∈ ΔD.
 	considered []bool
 	remaining  int
-
-	// Sample-side statics retained for the equivalence tests.
-	theta float64
-	freqS func(ids []uint32) int
 
 	// Record-shard state for parallel batch removal (see removeBatch):
 	// records are partitioned into `shards` contiguous ranges of
@@ -116,6 +116,7 @@ func newSelection(env *Env, pool *querypool.Pool, ss selectionStats, workers, sh
 	sel := &selection{
 		states:     make([]*qstate, pool.Len()),
 		heap:       lazyheap.NewN(pool.Len()),
+		score:      benefitOf,
 		fwd:        index.NewForwardDense(env.Local.Len()),
 		considered: make([]bool, env.Local.Len()),
 		remaining:  env.Local.Len(),
@@ -154,13 +155,11 @@ func newSelection(env *Env, pool *querypool.Pool, ss selectionStats, workers, sh
 	)
 	if ss.smp != nil && ss.smp.Len() > 0 {
 		stopSample := env.Obs.Phase("sample_index")
-		sel.theta = ss.smp.Theta
 		reIDed := make([]*relational.Record, len(ss.smp.Records))
 		for i, r := range ss.smp.Records {
 			reIDed[i] = &relational.Record{ID: i, Values: r.Values}
 		}
 		invS := index.BuildInvertedIDs(reIDed, env.Tokenizer, dict, workers)
-		sel.freqS = invS.Count
 		sampleSets = ss.smp.TokenIDSets(env.Tokenizer, dict)
 		sampleMatches = make([][]int32, env.Local.Len())
 		for pos, r := range ss.smp.Records {
@@ -393,23 +392,98 @@ func (sel *selection) countAt(d int, qid uint32) int {
 	return int(sel.fwdCnt[d][lo])
 }
 
-// stats assembles the estimator inputs for one query at the current
-// iteration.
-func (sel *selection) stats(st *qstate, k int, alpha float64) estimator.Stats {
-	return estimator.Stats{
-		FreqD:       st.freqD,
-		FreqSample:  st.freqS,
-		MatchSample: st.matchS,
-		Theta:       sel.theta,
-		K:           k,
-		Alpha:       alpha,
+// rescore is the lazy queue's revalidation callback: the query's fresh
+// benefit, or keep=false once it is issued or covers nothing.
+func (sel *selection) rescore(qid int) (float64, bool) {
+	st := sel.states[qid]
+	if st == nil || st.issued || st.freqD <= 0 {
+		return 0, false
+	}
+	return sel.score(st), true
+}
+
+// pop selects the query with the largest benefit and marks it issued.
+func (sel *selection) pop() (*qstate, float64, bool) {
+	qid, benefit, ok := 0, 0.0, false
+	if sel.eager {
+		qid, benefit, ok = sel.argmax()
+	} else {
+		qid, benefit, ok = sel.heap.Pop(sel.rescore)
+	}
+	if !ok {
+		return nil, 0, false
+	}
+	st := sel.states[qid]
+	st.issued = true
+	return st, benefit, true
+}
+
+// argmax scans every live query and returns the one with the largest
+// benefit (ties by smaller query ID), mirroring the lazy queue's selection
+// semantics at O(|Q|) per call.
+func (sel *selection) argmax() (best int, benefit float64, ok bool) {
+	for qid := range sel.states {
+		if b, live := sel.rescore(qid); live && (!ok || b > benefit) {
+			best, benefit, ok = qid, b, true
+		}
+	}
+	return best, benefit, ok
+}
+
+// peek returns the benefit pop would select without removing it. Only the
+// federated allocator calls it, and federation rejects eager selection.
+func (sel *selection) peek() (float64, bool) {
+	_, benefit, ok := sel.heap.Peek(sel.rescore)
+	return benefit, ok
+}
+
+// retire marks st issued without popping it (resume replay, a recovered
+// pending round). Its queue entry is still live, and a clean entry would
+// be re-issued without ever being rescored, so it is marked stale for the
+// issued filter to drop at the next pop.
+func (sel *selection) retire(st *qstate) {
+	st.issued = true
+	if !sel.eager {
+		sel.heap.Invalidate(st.q.ID)
 	}
 }
 
+// unissue returns an issued query to the pool. A popped entry is pushed
+// back at benefit; an unpopped one is still queued — a push would
+// duplicate it — so it is invalidated, forcing a rescore instead.
+func (sel *selection) unissue(st *qstate, popped bool, benefit float64) {
+	st.issued = false
+	if sel.eager {
+		return
+	}
+	if popped {
+		sel.heap.Push(st.q.ID, benefit)
+	} else {
+		sel.heap.Invalidate(st.q.ID)
+	}
+}
+
+// requeue is unissue at st's fresh benefit, for a failed query whose
+// statistics were just recomputed. Eager selection rescans anyway, so the
+// benefit is computed only when the queue needs it.
+func (sel *selection) requeue(st *qstate, popped bool) {
+	benefit := 0.0
+	if popped && !sel.eager {
+		benefit = sel.score(st)
+	}
+	sel.unissue(st, popped, benefit)
+}
+
+// reprioritize rescores every queued entry — for when the benefit
+// function itself changed (online calibration), which lazy invalidation
+// cannot express.
+func (sel *selection) reprioritize() { sel.heap.Reprioritize(sel.rescore) }
+
 // countSatisfyingIDs counts the sample positions (matching some local
 // record) whose interned token sets contain every query keyword ID — the
-// integer kernel equivalent of countSatisfying. positions index into
-// sets; both sets[pos] and q are sorted ascending.
+// integer kernel equivalent of the string countSatisfying reference in
+// kernel_test.go. positions index into sets; both sets[pos] and q are
+// sorted ascending.
 func countSatisfyingIDs(positions []int32, sets [][]uint32, q []uint32) int {
 	n := 0
 	for _, pos := range positions {

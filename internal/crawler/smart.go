@@ -4,12 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/bits"
 	"time"
 
 	"smartcrawl/internal/deepweb"
 	"smartcrawl/internal/estimator"
-	"smartcrawl/internal/obs"
 	"smartcrawl/internal/querypool"
 	"smartcrawl/internal/relational"
 	"smartcrawl/internal/sample"
@@ -180,8 +180,10 @@ type SmartConfig struct {
 type Smart struct {
 	env *Env
 	cfg SmartConfig
-	// ifaces is the federated interface set; empty means single-interface
-	// (synthesized from env.Searcher at Run).
+	// ifaces is the interface set with its defaults filled in. NewSmart
+	// builds its one interface from env.Searcher and the config's
+	// Sample/Estimator/Breaker and leaves it unnamed; NewFederatedSmart
+	// names every interface.
 	ifaces []Interface
 
 	// HeapRepushes is populated after Run with the lazy-queue repush
@@ -198,24 +200,11 @@ func NewSmart(env *Env, cfg SmartConfig) (*Smart, error) {
 	if err := env.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Estimator == nil {
-		if cfg.Sample != nil {
-			cfg.Estimator = estimator.Biased{}
-		} else {
-			cfg.Estimator = estimator.Frequency{}
-		}
+	h := Interface{Searcher: env.Searcher, Sample: cfg.Sample, Estimator: cfg.Estimator, Breaker: cfg.Breaker}
+	if err := h.normalize(cfg.OnlineCalibration); err != nil {
+		return nil, fmt.Errorf("crawler: %w", err)
 	}
-	if cfg.Sample == nil {
-		if _, ok := cfg.Estimator.(estimator.Frequency); !ok {
-			return nil, errors.New("crawler: sample-based estimators require a sample")
-		}
-	} else if cfg.Sample.Theta <= 0 {
-		return nil, fmt.Errorf("crawler: sample has non-positive theta %v", cfg.Sample.Theta)
-	}
-	if cfg.OnlineCalibration && cfg.Sample != nil {
-		return nil, errors.New("crawler: OnlineCalibration replaces the sample; supply one or the other")
-	}
-	return &Smart{env: env, cfg: cfg}, nil
+	return &Smart{env: env, cfg: cfg, ifaces: []Interface{h}}, nil
 }
 
 // Name implements Crawler.
@@ -226,10 +215,11 @@ func (s *Smart) Name() string {
 	if s.cfg.OnlineCalibration {
 		return "smartcrawl-online"
 	}
-	if _, ok := s.cfg.Estimator.(estimator.Frequency); ok {
+	est := s.ifaces[0].Estimator
+	if _, ok := est.(estimator.Frequency); ok {
 		return "smartcrawl-simple"
 	}
-	return "smartcrawl-" + s.cfg.Estimator.Name()
+	return "smartcrawl-" + est.Name()
 }
 
 // qstate is the live selection state of one pool query under one interface.
@@ -263,27 +253,70 @@ type bucketStat struct {
 // leading-zero count instead of a shift loop.
 func bucketOf(n int) int { return bits.Len(uint(n)) }
 
-// ifaceRun is the per-interface runtime of the generalized Algorithm-4
-// loop: the interface's own budget-metered searcher and dispatcher, its
-// circuit breaker, its selection state (per-query statistics, lazy queue,
-// considered set), its benefit function (per-interface k, θ, α, estimator),
-// and its online-calibration buckets. A single-interface crawl runs exactly
-// one of these.
+// ifaceRun is one interface's runtime in the generalized Algorithm-4
+// loop: its budget-metered searcher and dispatcher, circuit breaker,
+// selection state, and benefit function (per-interface k, θ, α, estimator,
+// online-calibration buckets). A single-interface crawl runs one of these.
 type ifaceRun struct {
-	idx  int
-	name string
-	k    int
+	source
 
 	counting *deepweb.Counting
 	disp     *deepweb.Dispatcher
 	br       *deepweb.Breaker
 
-	sel       *selection
-	benefitOf func(*qstate) float64
-	rescore   func(int) (float64, bool)
+	sel *selection
 
-	calib   [64]bucketStat
-	metrics *obs.IfaceMetrics
+	// Benefit-function inputs: the (possibly instrumented) estimator with
+	// the sample-derived θ and α, or the calibration buckets when online.
+	est          estimator.Estimator
+	theta, alpha float64
+	online       bool
+	calib        [64]bucketStat
+}
+
+// benefit is the interface's estimated benefit of issuing st now. Online
+// calibration uses the bucket mean scaled by the still-uncovered fraction
+// of the query's records, falling back to QSel-Simple capped at k until
+// the bucket has enough observations.
+func (ir *ifaceRun) benefit(st *qstate) float64 {
+	if ir.online {
+		b := ir.calib[bucketOf(len(st.qD))]
+		if b.count >= calibMinObs {
+			return (b.sum / float64(b.count)) *
+				float64(st.freqD) / float64(len(st.qD))
+		}
+		if f := float64(st.freqD); f < float64(ir.k) {
+			return f
+		}
+		return float64(ir.k)
+	}
+	return ir.est.Benefit(estimator.Stats{
+		FreqD:       st.freqD,
+		FreqSample:  st.freqS,
+		MatchSample: st.matchS,
+		Theta:       ir.theta,
+		K:           ir.k,
+		Alpha:       ir.alpha,
+	})
+}
+
+// observe adds a realized benefit (records newly covered by st) to st's
+// calibration bucket and reports whether the queue's priorities should be
+// rebuilt: the bucket just became usable, or its mean moved materially —
+// rare once calibrated.
+func (ir *ifaceRun) observe(st *qstate, newly int) bool {
+	b := &ir.calib[bucketOf(len(st.qD))]
+	old := *b
+	b.sum += float64(newly)
+	b.count++
+	switch {
+	case b.count == calibMinObs:
+		return true
+	case old.count >= calibMinObs:
+		oldMean, curMean := old.sum/float64(old.count), b.sum/float64(b.count)
+		return curMean > 1.3*oldMean || curMean < 0.7*oldMean
+	}
+	return false
 }
 
 // ifaceCand is one allocator candidate: an interface, the clean benefit at
@@ -296,6 +329,58 @@ type ifaceCand struct {
 	rank    float64
 }
 
+// issue is one query of a selection round: what selection chose, and the
+// dispatcher's outcome for it.
+type issue struct {
+	st      *qstate // nil when a resumed pending query left the pool
+	benefit float64
+	// popped records that selection popped this query's queue entry; a
+	// resumed pending query's entry is still queued (invalidated), so
+	// returning it to the pool must not push a duplicate.
+	popped bool
+	deepweb.Outcome
+}
+
+// smartRun is the state of one Run; its methods are Run's stages.
+type smartRun struct {
+	s         *Smart
+	cfg       *SmartConfig
+	env       *Env
+	t         *tracker
+	pool      *querypool.Pool
+	meter     *deepweb.Budget // one allowance shared by every interface
+	runs      []*ifaceRun
+	federated bool
+	batch     int
+
+	// searchCtx carries ONLY the crawl deadline (nil without one): user
+	// cancellation (cfg.Context) deliberately stays out of it so graceful
+	// shutdown keeps its drain semantics — in-flight queries finish and
+	// are absorbed — while deadline expiry aborts them.
+	searchCtx context.Context
+	cancel    context.CancelFunc
+
+	// Graceful degradation (see SmartConfig.MaxAttempts/Breaker); rep is
+	// nil when any interface error aborts the run.
+	maxAttempts int
+	rep         *Resilience
+	retryBudget *deepweb.RetryBudget
+	health      *healthState
+
+	// pending is the unresolved tail of a crashed session's last round
+	// (see SmartConfig.ResumePending), re-issued before any selection.
+	pending []PendingQuery
+
+	// Round scratch, reused every round. Safe because every consumer
+	// finishes with it inside the round — the dispatcher reads its input
+	// before returning, and DurabilitySink.RoundSelected must copy what it
+	// retains.
+	round  []issue
+	intent []PendingQuery
+	qs     []deepweb.Query
+	cands  []ifaceCand
+}
+
 // Run implements Crawler, executing Algorithm 4 generalized over the
 // interface set: generate the pool once, build per-interface selection
 // state, then round by round allocate the shared budget to the interface
@@ -303,868 +388,700 @@ type ifaceCand struct {
 // there, cover records globally, and replay §4.2 removals against the
 // issuing interface until the budget or every pool is exhausted.
 func (s *Smart) Run(budget int) (*Result, error) {
-	env := s.env
-	t := newTracker(env)
-
-	// The interface set: explicit for a federated crawl, synthesized from
-	// the environment searcher otherwise. The single-interface path IS the
-	// n=1 federated loop.
-	ifaces := s.ifaces
-	if len(ifaces) == 0 {
-		ifaces = []Interface{{
-			Searcher:  env.Searcher,
-			Sample:    s.cfg.Sample,
-			Estimator: s.cfg.Estimator,
-			Breaker:   s.cfg.Breaker,
-		}}
+	r := s.setup(budget)
+	defer r.cancel()
+	if err := r.replayResume(); err != nil {
+		return nil, err
 	}
-	nIf := len(ifaces)
-	federated := nIf > 1
-	if federated {
-		t.names = make([]string, nIf)
-		for i := range ifaces {
-			t.names[i] = ifaces[i].Name
+	defer r.env.Obs.Phase("crawl_loop")()
+	for r.more() {
+		ir, held, err := r.allocate()
+		if err != nil {
+			return nil, err
+		}
+		if held {
+			continue
+		}
+		if ir == nil {
+			break // every interface's pool is exhausted
+		}
+		round := r.selectRound(ir)
+		if len(round) == 0 {
+			break
+		}
+		if err := r.journalIntent(ir, round); err != nil {
+			return nil, err
+		}
+		r.dispatch(ir, round)
+		if err := r.merge(ir, round); err != nil {
+			return nil, err
 		}
 	}
-	// One meter, n charging wrappers: every interface spends the same
-	// global allowance.
-	meter := deepweb.NewBudget(budget)
+	return r.finish(), nil
+}
 
-	// The crawl's wall-clock budget. searchCtx carries ONLY the deadline:
-	// user cancellation (s.cfg.Context) deliberately stays out of it so
-	// graceful shutdown keeps its drain semantics — in-flight queries
-	// finish and are absorbed — while deadline expiry aborts them.
-	var searchCtx context.Context
-	if s.cfg.Deadline > 0 {
-		dctx, cancel := context.WithTimeout(context.Background(), s.cfg.Deadline)
-		defer cancel()
-		searchCtx = dctx
+// setup generates the pool and builds the per-interface runtimes and the
+// degradation policy.
+func (s *Smart) setup(budget int) *smartRun {
+	env, batch := s.env, max(s.cfg.BatchSize, 1)
+	r := &smartRun{
+		s:         s,
+		cfg:       &s.cfg,
+		env:       env,
+		t:         newTracker(env),
+		meter:     deepweb.NewBudget(budget),
+		runs:      make([]*ifaceRun, len(s.ifaces)),
+		federated: len(s.ifaces) > 1,
+		batch:     batch,
+		cancel:    func() {},
+		pending:   append([]PendingQuery(nil), s.cfg.ResumePending...),
+		round:     make([]issue, 0, batch),
+		intent:    make([]PendingQuery, 0, batch),
+		qs:        make([]deepweb.Query, 0, batch),
+		cands:     make([]ifaceCand, 0, len(s.ifaces)),
 	}
-
-	batch := s.cfg.BatchSize
-	if batch < 1 {
-		batch = 1
+	if s.cfg.Deadline > 0 {
+		r.searchCtx, r.cancel = context.WithTimeout(context.Background(), s.cfg.Deadline)
 	}
 	workers := s.cfg.Concurrency
 	if workers < 1 {
 		workers = batch
 	}
-
 	poolCfg := s.cfg.PoolConfig
 	if poolCfg.Workers == 0 {
 		poolCfg.Workers = workers
 	}
 	stopPool := env.Obs.Phase("pool_generate")
-	pool := querypool.Generate(env.Local, env.Tokenizer, poolCfg)
+	r.pool = querypool.Generate(env.Local, env.Tokenizer, poolCfg)
 	stopPool()
-	s.PoolSize = pool.Len()
+	s.PoolSize = r.pool.Len()
 
-	// Per-interface runtime state. Estimator Benefit calls are the
-	// selection hot path; the instrumented wrapper adds one atomic count
-	// per call and nothing else, so the benefits — and therefore selection
-	// order — are bit-identical.
-	runs := make([]*ifaceRun, nIf)
 	anyBreaker := false
-	for i := range ifaces {
-		h := &ifaces[i]
-		ir := &ifaceRun{idx: i, name: h.Name, br: h.Breaker, k: h.Searcher.K()}
-		ir.counting = deepweb.NewCountingOn(h.Searcher, meter)
-		ir.disp = &deepweb.Dispatcher{
-			S:             ir.counting,
-			Workers:       workers,
-			SearchContext: searchCtx,
-			Timeout:       s.cfg.QueryTimeout,
-			Obs:           env.Obs,
-		}
-		if h.Breaker != nil {
-			anyBreaker = true
-		}
-		// Sample-derived estimator constants; the sample's interned
-		// indexes and match tables are built inside newSelection.
-		var theta, alpha float64
-		if h.Sample != nil && h.Sample.Len() > 0 {
-			theta = h.Sample.Theta
-			if s.cfg.AlphaFallback {
-				alpha = theta * float64(env.Local.Len()) / float64(h.Sample.Len())
-			}
-		}
-		est := h.Estimator
-		if est == nil {
-			est = estimator.Frequency{}
-		}
-		if env.Obs.Enabled() {
-			est = estimator.Instrumented{E: est, Obs: env.Obs}
-		}
-		k := ir.k
-		ir.benefitOf = func(st *qstate) float64 {
-			if s.cfg.OnlineCalibration {
-				b := ir.calib[bucketOf(len(st.qD))]
-				if b.count >= calibMinObs {
-					// Bucket mean, scaled by the still-uncovered
-					// fraction of this query's records.
-					return (b.sum / float64(b.count)) *
-						float64(st.freqD) / float64(len(st.qD))
-				}
-				if f := float64(st.freqD); f < float64(k) {
-					return f
-				}
-				return float64(k) // uncalibrated: QSel-Simple capped at k
-			}
-			return est.Benefit(estimator.Stats{
-				FreqD:       st.freqD,
-				FreqSample:  st.freqS,
-				MatchSample: st.matchS,
-				Theta:       theta,
-				K:           k,
-				Alpha:       alpha,
-			})
-		}
-		// Pool resolution, the interned inverted/forward indexes, the
-		// precomputed sample-match counts, and the initial priorities —
-		// Figure 3's index structures on token IDs (see selection.go).
-		ir.sel = newSelection(env, pool, selectionStats{smp: h.Sample, joiner: t.joiner}, workers, s.cfg.Shards, ir.benefitOf)
-		ir.rescore = func(qid int) (float64, bool) {
-			st := ir.sel.states[qid]
-			if st == nil || st.issued || st.freqD <= 0 {
-				return 0, false
-			}
-			return ir.benefitOf(st), true
-		}
-		if federated && env.Obs.Enabled() {
-			ir.metrics = env.Obs.Iface(ir.name)
-		}
-		runs[i] = ir
-	}
-	if federated {
-		t.ifm = make([]*obs.IfaceMetrics, nIf)
-		for i, ir := range runs {
-			t.ifm[i] = ir.metrics
-		}
+	for i := range s.ifaces {
+		r.runs[i] = r.newIfaceRun(i, &s.ifaces[i], workers)
+		anyBreaker = anyBreaker || s.ifaces[i].Breaker != nil
 	}
 
-	// Resume: replay a previous session's effects before selecting.
-	if prev := s.cfg.Resume; prev != nil {
-		if len(prev.Covered) != env.Local.Len() {
-			return nil, fmt.Errorf("crawler: resume checkpoint covers %d records, local database has %d",
-				len(prev.Covered), env.Local.Len())
-		}
-		// Restore the tracker's cumulative state.
-		copy(t.res.Covered, prev.Covered)
-		t.res.CoveredCount = prev.CoveredCount
-		t.res.QueriesIssued = prev.QueriesIssued
-		t.res.Steps = append(t.res.Steps, prev.Steps...)
-		for id, r := range prev.Crawled {
-			t.res.Crawled[id] = r
-		}
-		for d, h := range prev.Matches {
-			t.res.Matches[d] = h
-		}
-		// Replay coverage removals against every interface, then retire
-		// each step's query — and replay its §4.2 removals — against the
-		// interface that issued it. Replay is the largest removal batch of
-		// a crawl's lifetime, so it benefits most from sharding.
-		coveredIDs := make([]int, 0, prev.CoveredCount)
-		for d, covered := range prev.Covered {
-			if covered {
-				coveredIDs = append(coveredIDs, d)
-			}
-		}
-		for _, ir := range runs {
-			ir.sel.removeBatch(coveredIDs)
-		}
-		for _, step := range prev.Steps {
-			if step.Iface < 0 || step.Iface >= nIf {
-				return nil, fmt.Errorf("crawler: resume step is tagged interface %d; run has %d interfaces",
-					step.Iface, nIf)
-			}
-			ir := runs[step.Iface]
-			q := pool.Find(step.Query)
-			if q == nil || ir.sel.states[q.ID] == nil {
-				continue // pool drift; the query can no longer be selected anyway
-			}
-			st := ir.sel.states[q.ID]
-			st.issued = true
-			if !s.cfg.EagerSelection {
-				// The replayed query's heap entry was never popped; a clean
-				// entry would be re-issued without a rescore. (Usually its
-				// own covered records already invalidated it above, but a
-				// step that covered nothing new leaves the entry clean.)
-				ir.sel.heap.Invalidate(q.ID)
-			}
-			if step.ResultSize < ir.k && !s.cfg.DisableDeltaDRemoval {
-				ir.sel.removeBatchU32(st.qD)
-			}
-			// Replay the calibration observations so a resumed online
-			// crawl selects exactly as an uninterrupted one.
-			if s.cfg.OnlineCalibration && len(st.qD) > 0 {
-				bkt := bucketOf(len(st.qD))
-				ir.calib[bkt].sum += float64(step.NewlyCovered)
-				ir.calib[bkt].count++
-			}
-		}
-		if s.cfg.OnlineCalibration {
-			for _, ir := range runs {
-				ir.sel.heap.Reprioritize(ir.rescore)
-			}
-		}
+	r.maxAttempts = s.cfg.MaxAttempts
+	if r.maxAttempts < 1 && (anyBreaker || s.cfg.Deadline > 0) {
+		r.maxAttempts = 1
 	}
-
-	// Graceful degradation (see SmartConfig.MaxAttempts/Breaker): failed
-	// queries are requeued or forfeited instead of aborting the run, and
-	// the report below accounts for every dispatched query.
-	maxAttempts := s.cfg.MaxAttempts
-	if maxAttempts < 1 && (anyBreaker || s.cfg.Deadline > 0) {
-		maxAttempts = 1
+	// The report rides inside the Result from the start, not only at
+	// return: the durability sink snapshots t.res mid-crawl, and a
+	// snapshot missing the failure accounting would under-count the
+	// settled charge on recovery (durable.Recover derives it as issued +
+	// requeued + forfeited − refunded). For the same reason a resumed run
+	// carries the earlier sessions' report forward even when not resilient.
+	if prev := s.cfg.Resume; prev != nil && prev.Resilience != nil {
+		r.t.res.Resilience = prev.Resilience.clone()
 	}
-	resilient := maxAttempts > 0
-	var rep *Resilience
-	tripsBase := 0
-	if resilient {
-		rep = &Resilience{}
-		if prev := s.cfg.Resume; prev != nil && prev.Resilience != nil {
-			rep = prev.Resilience.clone()
+	if r.maxAttempts > 0 {
+		if r.t.res.Resilience == nil {
+			r.t.res.Resilience = &Resilience{}
 		}
-		tripsBase = rep.BreakerTrips
-		// The live report rides inside the Result from the start, not
-		// only at return: the durability sink snapshots t.res mid-crawl,
-		// and a snapshot missing the failure accounting would under-count
-		// the settled charge on recovery (durable.Recover derives it as
-		// issued + requeued + forfeited − refunded).
-		t.res.Resilience = rep
-	} else if prev := s.cfg.Resume; prev != nil && prev.Resilience != nil {
-		// A non-resilient resumed run still carries the historical report
-		// forward, for the same recovery-accounting reason — and so the
-		// failures an earlier session absorbed stay reported.
-		t.res.Resilience = prev.Resilience.clone()
-	}
-	// Retry budget (see SmartConfig.RetryBudget): deposits and withdrawals
-	// happen only here on the crawl loop's goroutine, in selection order.
-	var retryBudget *deepweb.RetryBudget
-	if resilient && s.cfg.RetryBudget > 0 {
-		retryBudget = deepweb.NewRetryBudget(s.cfg.RetryBudget, 0)
+		r.rep = r.t.res.Resilience
+		if s.cfg.RetryBudget > 0 {
+			r.retryBudget = deepweb.NewRetryBudget(s.cfg.RetryBudget, 0)
+		}
 	}
 	// Health scoring (see SmartConfig.Health): federated only — with one
 	// interface there is no allocation choice to steer.
-	var health *healthState
-	if federated && s.cfg.Health != nil {
-		health = newHealthState(*s.cfg.Health, nIf)
-		for _, hr := range runs {
-			if hr.metrics != nil {
-				hr.metrics.HealthScore.Set(1000)
+	if r.federated && s.cfg.Health != nil {
+		r.health = newHealthState(*s.cfg.Health, len(r.runs))
+		for _, ir := range r.runs {
+			if ir.metrics != nil {
+				ir.metrics.HealthScore.Set(1000)
 			}
 		}
 	}
-	// noteHealth publishes an interface's score after it moved: the obs
-	// gauge (milli-units) and a health trace event. Clean runs never call
-	// it — scores stay exactly 1.0 — so traces stay byte-identical.
-	noteHealth := func(ir *ifaceRun) {
-		sc := health.score[ir.idx]
-		if ir.metrics != nil {
-			ir.metrics.HealthScore.Set(int64(sc*1000 + 0.5))
-		}
-		env.Obs.Health(ir.name, sc, false)
-	}
-	// requeue returns a failed query to its interface's pool for another
-	// attempt. Its live statistics are recomputed from the considered set
-	// first: removals during the in-flight window skipped this query
-	// (issued queries are normally never reconsidered), so freqD/matchS are
-	// stale. Returns false — forfeit — when attempts are exhausted, nothing
-	// the query covers is still uncovered, or the retry budget is dry (the
-	// cheap checks run first so a guaranteed forfeit never burns a token).
-	requeue := func(ir *ifaceRun, st *qstate, fromHeap bool) bool {
-		ir.sel.recompute(st)
-		if st.freqD <= 0 || st.attempts >= maxAttempts {
-			return false
-		}
-		if retryBudget != nil && !retryBudget.Withdraw() {
-			// The budget is dry: forfeiting here is what caps total
-			// attempts near (1+ratio)·dispatches under a sustained outage.
-			rep.RetryBudgetDenied++
-			env.Obs.RetryDenied(st.q.Keywords.Key())
-			return false
-		}
-		st.issued = false
-		if !s.cfg.EagerSelection {
-			if fromHeap {
-				ir.sel.heap.Push(st.q.ID, ir.benefitOf(st))
-			} else {
-				// The entry is still in the heap (resumed pending query,
-				// never popped); a Push would duplicate it. Invalidation
-				// forces a rescore with the recomputed statistics.
-				ir.sel.heap.Invalidate(st.q.ID)
-			}
-		}
-		return true
-	}
+	return r
+}
 
-	defer env.Obs.Phase("crawl_loop")()
-	type issue struct {
-		st      *qstate // nil when a resumed pending query left the pool
-		q       deepweb.Query
-		benefit float64
-		// fromHeap records that selection popped this query's heap entry.
-		// A resumed pending query is issued without popping — its entry is
-		// still in the heap (invalidated) — so returning it to the pool
-		// must not Push a duplicate entry.
-		fromHeap bool
-		recs     []*relational.Record
-		err      error
-		// undispatched mirrors deepweb.Outcome.Undispatched: the searcher
-		// never saw this query (shutdown drain or deadline expiry caught it
-		// before a worker claimed it), so it was never charged.
-		undispatched bool
+// newIfaceRun builds interface i's runtime. Estimator Benefit calls are
+// the selection hot path; the instrumented wrapper adds one atomic count
+// per call and nothing else, so the benefits — and therefore selection
+// order — are bit-identical.
+func (r *smartRun) newIfaceRun(i int, h *Interface, workers int) *ifaceRun {
+	ir := &ifaceRun{
+		source:   source{k: h.Searcher.K(), idx: i},
+		br:       h.Breaker,
+		counting: deepweb.NewCountingOn(h.Searcher, r.meter),
+		est:      h.Estimator,
+		online:   r.cfg.OnlineCalibration,
 	}
-	ctx := s.cfg.Context
-	sink := s.cfg.Durability
-	sinkErr := func(err error) error {
-		return fmt.Errorf("crawler: durability sink: %w", err)
+	ir.disp = &deepweb.Dispatcher{
+		S:             ir.counting,
+		Workers:       workers,
+		SearchContext: r.searchCtx,
+		Timeout:       r.cfg.QueryTimeout,
+		Obs:           r.env.Obs,
 	}
-	anyRemaining := func() bool {
-		for _, ir := range runs {
-			if ir.sel.remaining > 0 {
-				return true
-			}
+	if h.Sample != nil && h.Sample.Len() > 0 {
+		ir.theta = h.Sample.Theta
+		if r.cfg.AlphaFallback {
+			ir.alpha = ir.theta * float64(r.env.Local.Len()) / float64(h.Sample.Len())
 		}
+	}
+	if r.env.Obs.Enabled() {
+		ir.est = estimator.Instrumented{E: ir.est, Obs: r.env.Obs}
+	}
+	// Pool resolution, the interned inverted/forward indexes, the
+	// precomputed sample-match counts, and the initial priorities —
+	// Figure 3's index structures on token IDs (see selection.go).
+	ir.sel = newSelection(r.env, r.pool, selectionStats{smp: h.Sample, joiner: r.t.joiner}, workers, r.cfg.Shards, ir.benefit)
+	ir.sel.eager = r.cfg.EagerSelection
+	if r.federated {
+		// Only a federated crawl tags its obs output per interface; a
+		// single-interface one stays untagged.
+		ir.name = h.Name
+		ir.metrics = r.env.Obs.Iface(ir.name)
+	}
+	return ir
+}
+
+// replayResume replays a previous session's effects before selecting:
+// the tracker's cumulative state, coverage removals against every
+// interface, and each step's retirement and §4.2 removals against the
+// interface that issued it.
+func (r *smartRun) replayResume() error {
+	prev := r.cfg.Resume
+	if prev == nil {
+		return nil
+	}
+	if len(prev.Covered) != r.env.Local.Len() {
+		return fmt.Errorf("crawler: resume checkpoint covers %d records, local database has %d",
+			len(prev.Covered), r.env.Local.Len())
+	}
+	res := r.t.res
+	copy(res.Covered, prev.Covered)
+	res.CoveredCount = prev.CoveredCount
+	res.QueriesIssued = prev.QueriesIssued
+	res.Steps = append(res.Steps, prev.Steps...)
+	maps.Copy(res.Crawled, prev.Crawled)
+	maps.Copy(res.Matches, prev.Matches)
+	// Replay is the largest removal batch of a crawl's lifetime, so it
+	// benefits most from sharding.
+	coveredIDs := make([]int, 0, prev.CoveredCount)
+	for d, covered := range prev.Covered {
+		if covered {
+			coveredIDs = append(coveredIDs, d)
+		}
+	}
+	for _, ir := range r.runs {
+		ir.sel.removeBatch(coveredIDs)
+	}
+	for _, step := range prev.Steps {
+		if step.Iface < 0 || step.Iface >= len(r.runs) {
+			return fmt.Errorf("crawler: resume step is tagged interface %d; run has %d interfaces",
+				step.Iface, len(r.runs))
+		}
+		ir := r.runs[step.Iface]
+		q := r.pool.Find(step.Query)
+		if q == nil || ir.sel.states[q.ID] == nil {
+			continue // pool drift; the query can no longer be selected anyway
+		}
+		st := ir.sel.states[q.ID]
+		ir.sel.retire(st)
+		if step.ResultSize < ir.k && !r.cfg.DisableDeltaDRemoval {
+			ir.sel.removeBatchU32(st.qD)
+		}
+		// Replay the calibration observations so a resumed online crawl
+		// selects exactly as an uninterrupted one.
+		if ir.online && len(st.qD) > 0 {
+			ir.observe(st, step.NewlyCovered)
+		}
+	}
+	if r.cfg.OnlineCalibration {
+		for _, ir := range r.runs {
+			ir.sel.reprioritize()
+		}
+	}
+	return nil
+}
+
+// more reports whether another round may start: budget is left, some
+// interface still considers a record or a recovered round is pending, and
+// neither graceful shutdown nor the crawl deadline has stopped the crawl
+// at this round boundary.
+func (r *smartRun) more() bool {
+	live := len(r.pending) > 0
+	for _, ir := range r.runs {
+		live = live || ir.sel.remaining > 0
+	}
+	if !live || r.meter.Exhausted() {
 		return false
 	}
-	// pending is the unresolved tail of a crashed session's last round
-	// (see SmartConfig.ResumePending); it is re-issued with the original
-	// benefits — against the original interface — before any fresh
-	// selection.
-	pending := append([]PendingQuery(nil), s.cfg.ResumePending...)
-	// Round scratch, allocated once and reused every round: the selection
-	// loop runs thousands of rounds and the per-round make calls were
-	// measurable. Safe because every consumer finishes with the slice
-	// inside the round — the dispatcher reads its input before returning,
-	// and DurabilitySink.RoundSelected must copy what it retains.
-	issueBuf := make([]issue, batch)
-	round := make([]*issue, 0, batch)
-	intentScratch := make([]PendingQuery, 0, batch)
-	qsScratch := make([]deepweb.Query, 0, batch)
-	cands := make([]ifaceCand, 0, nIf)
-	for !meter.Exhausted() && (anyRemaining() || len(pending) > 0) {
-		if ctx != nil && ctx.Err() != nil {
-			break // graceful shutdown: stop at the round boundary
-		}
-		if searchCtx != nil && searchCtx.Err() != nil {
-			break // the crawl deadline is spent
-		}
-		// Allocate the round to an interface. A replayed crashed round
-		// goes back to the interface that owned it; a single-interface
-		// crawl has no choice to make (and skips the allocator entirely,
-		// preserving the pre-federation loop byte for byte); a federated
-		// round goes to the live interface whose best clean query
-		// promises the largest marginal benefit, ties broken by smaller
-		// interface index so allocation is deterministic.
-		var ir *ifaceRun
-		if len(pending) > 0 {
-			pi := pending[0].Iface
-			if pi < 0 || pi >= nIf {
-				return nil, fmt.Errorf("crawler: recovered pending round is tagged interface %d; run has %d interfaces", pi, nIf)
-			}
-			ir = runs[pi]
-			// Circuit gate: while open, each held round advances the
-			// count-based cooldown; the round that half-opens the breaker
-			// proceeds as a single-query probe.
-			if ir.br != nil && !ir.br.Allow() {
-				rep.BreakerHolds++
-				if ir.metrics != nil {
-					ir.metrics.Holds.Inc()
-				}
-				if health != nil {
-					health.onFailure(ir.idx)
-					noteHealth(ir)
-				}
-				continue
-			}
-		} else if nIf == 1 {
-			ir = runs[0]
-			if ir.br != nil && !ir.br.Allow() {
-				rep.BreakerHolds++
-				continue
-			}
-		} else {
-			// Rank live interfaces by the clean benefit at the top of
-			// their queues (Peek performs exactly the lazy cleaning a Pop
-			// would, so ranking does no throwaway work), then grant the
-			// round to the best-ranked one whose breaker admits traffic.
-			// Consulting breakers in rank order keeps an open circuit on
-			// the best interface from starving the healthy ones; if every
-			// live interface is held, the round is skipped and each hold
-			// advances its breaker's cooldown.
-			cands = cands[:0]
-			for _, c := range runs {
-				if _, b, ok := c.sel.heap.Peek(c.rescore); ok {
-					rank := b
-					if health != nil {
-						rank = b * health.score[c.idx]
-					}
-					cands = append(cands, ifaceCand{c, b, rank})
-				}
-			}
-			held := false
-			allocBenefit := 0.0
-			probe := false
-			if health != nil {
-				// Recovery probe: a degraded interface that has lost
-				// ProbeEvery consecutive rounds force-wins this one (lowest
-				// interface index among those due), breaker permitting —
-				// the score only recovers through successes, and successes
-				// need traffic.
-				pi := -1
-				for j, c := range cands {
-					if health.probeDue(c.ir.idx) && (pi == -1 || c.ir.idx < cands[pi].ir.idx) {
-						pi = j
-					}
-				}
-				if pi >= 0 {
-					c := cands[pi]
-					cands = append(cands[:pi], cands[pi+1:]...)
-					if c.ir.br != nil && !c.ir.br.Allow() {
-						rep.BreakerHolds++
-						if c.ir.metrics != nil {
-							c.ir.metrics.Holds.Inc()
-						}
-						health.onFailure(c.ir.idx)
-						noteHealth(c.ir)
-						held = true
-					} else {
-						ir, allocBenefit, probe = c.ir, c.benefit, true
-						health.sinceProbe[c.ir.idx] = 0
-					}
-				}
-			}
-			for ir == nil && len(cands) > 0 {
-				best := 0
-				for j := 1; j < len(cands); j++ {
-					if cands[j].rank > cands[best].rank {
-						best = j
-					}
-				}
-				c := cands[best]
-				cands = append(cands[:best], cands[best+1:]...)
-				if c.ir.br != nil && !c.ir.br.Allow() {
-					rep.BreakerHolds++
-					if c.ir.metrics != nil {
-						c.ir.metrics.Holds.Inc()
-					}
-					if health != nil {
-						health.onFailure(c.ir.idx)
-						noteHealth(c.ir)
-					}
-					held = true
-					continue
-				}
-				ir, allocBenefit = c.ir, c.benefit
-				break
-			}
-			if ir == nil {
-				if held {
-					continue
-				}
-				break // every interface's pool is exhausted
-			}
-			if health != nil {
-				// Degraded interfaces that lost this round age toward their
-				// recovery probe.
-				for _, c := range cands {
-					if c.ir != ir && health.degraded(c.ir.idx) {
-						health.sinceProbe[c.ir.idx]++
-					}
-				}
-				if probe {
-					if ir.metrics != nil {
-						ir.metrics.Probes.Inc()
-					}
-					env.Obs.Health(ir.name, health.score[ir.idx], true)
-				}
-			}
-			env.Obs.Alloc(ir.name, allocBenefit, meter.Remaining())
-			if ir.metrics != nil {
-				ir.metrics.Allocs.Inc()
-			}
-		}
-		// Pop up to `batch` queries (bounded by the remaining budget so
-		// concurrent issues never overshoot b).
-		n := batch
-		if ir.br != nil && ir.br.State() == deepweb.BreakerHalfOpen {
-			n = 1
-		}
-		if r := meter.Remaining(); r >= 0 && r < n {
-			n = r
-		}
-		round = round[:0]
-		if len(pending) > 0 {
-			// Replay the crashed round verbatim: same queries, same
-			// benefits, same interface, same order. The pool state may
-			// have drifted (a forfeited query whose records were since
-			// covered), so a missing qstate is tolerated — the query is
-			// still issued, only its live bookkeeping is skipped. A round
-			// is journaled as one single-interface intent record, so the
-			// pending tail is interface-homogeneous; trim defensively.
-			m := 0
-			for m < len(pending) && pending[m].Iface == ir.idx {
-				m++
-			}
-			if n > m {
-				n = m
-			}
-			for _, p := range pending[:n] {
-				is := &issueBuf[len(round)]
-				*is = issue{q: p.Query, benefit: p.Benefit}
-				if q := pool.Find(p.Query); q != nil {
-					if st := ir.sel.states[q.ID]; st != nil && !st.issued {
-						st.issued = true
-						is.st = st
-						if !s.cfg.EagerSelection {
-							// The query was never popped this session —
-							// its heap entry is still live, and a clean
-							// entry would be re-issued without ever being
-							// rescored. Mark it stale so the issued
-							// filter retires it at the next pop.
-							ir.sel.heap.Invalidate(q.ID)
-						}
-					}
-				}
-				round = append(round, is)
-			}
-			pending = pending[n:]
-		} else {
-			for len(round) < n {
-				var (
-					qid     int
-					benefit float64
-					ok      bool
-				)
-				if s.cfg.EagerSelection {
-					qid, benefit, ok = eagerArgmax(ir.sel.states, ir.benefitOf)
-				} else {
-					qid, benefit, ok = ir.sel.heap.Pop(ir.rescore)
-				}
-				if !ok {
-					break // pool exhausted
-				}
-				st := ir.sel.states[qid]
-				st.issued = true
-				is := &issueBuf[len(round)]
-				*is = issue{st: st, q: st.q.Keywords, benefit: benefit, fromHeap: true}
-				round = append(round, is)
-			}
-		}
-		if len(round) == 0 {
-			break
-		}
-		if sink != nil {
-			// Write-ahead intent: journal the selected batch before any
-			// of it is dispatched, so a crash mid-round can re-issue
-			// exactly this batch instead of re-selecting a different one.
-			intentScratch = intentScratch[:0]
-			for _, is := range round {
-				intentScratch = append(intentScratch, PendingQuery{Query: is.q, Benefit: is.benefit, Iface: ir.idx})
-			}
-			if err := sink.RoundSelected(intentScratch, t.res); err != nil {
-				return nil, sinkErr(err)
-			}
-		}
-		if o := env.Obs; o != nil {
-			o.Round(len(round), meter.Remaining())
-		}
-
-		// Issue the round through the interface's worker pool. Outcomes
-		// come back index-aligned with the selection order regardless of
-		// which worker finished first. Under a cancelled context the
-		// dispatcher drains: started queries finish, unstarted ones
-		// come back with ctx.Err() before they could be charged.
-		qsScratch = qsScratch[:0]
-		for _, is := range round {
-			qsScratch = append(qsScratch, is.q)
-		}
-		for i, o := range ir.disp.DispatchCtx(ctx, qsScratch) {
-			round[i].recs, round[i].err = o.Records, o.Err
-			round[i].undispatched = o.Undispatched
-		}
-
-		// Merge stage: absorb in selection order so runs stay
-		// deterministic for any worker count — including every
-		// degradation decision (requeue, forfeit, refund, breaker
-		// feeding), which is why none of it happens on the workers.
-		for _, is := range round {
-			st := is.st
-			if is.undispatched {
-				// Shutdown drain or deadline expiry skipped this query
-				// before it was issued: never executed, never charged, no
-				// journal record — it simply returns to the pool, and a
-				// resumed session will find it still pending in the round
-				// intent record. (A deadline-skipped query is NOT a
-				// deadline forfeit: nothing was spent on it.)
-				if st != nil {
-					st.issued = false
-					if !s.cfg.EagerSelection {
-						if is.fromHeap {
-							ir.sel.heap.Push(st.q.ID, is.benefit)
-						} else {
-							ir.sel.heap.Invalidate(st.q.ID)
-						}
-					}
-				}
-				continue
-			}
-			if errors.Is(is.err, deepweb.ErrBudgetExhausted) {
-				if rep != nil {
-					rep.Dispatched++
-					rep.BudgetStops++
-				}
-				if sink != nil {
-					if err := sink.BudgetStopped(is.q, t.res); err != nil {
-						return nil, sinkErr(err)
-					}
-				}
-				continue
-			}
-			if rep != nil {
-				rep.Dispatched++
-			}
-			if ir.br != nil {
-				ir.br.Record(is.err)
-			}
-			resultSize := len(is.recs)
-			if is.err != nil {
-				var te *deepweb.TruncatedError
-				switch {
-				case !resilient:
-					return nil, fmt.Errorf("crawler: issuing %q: %w", is.q, is.err)
-				case errors.As(is.err, &te):
-					// A cut page: absorb the partial records below, but
-					// judge solidity — and trace the step — on the true
-					// matched size, so §4.2 never removes ΔD records on
-					// the strength of a truncated result.
-					resultSize = te.Full
-					rep.Truncated++
-					env.Obs.Truncated(is.q.Key(), te.Returned, te.Full)
-				case searchCtx != nil && searchCtx.Err() != nil &&
-					errors.Is(is.err, context.DeadlineExceeded):
-					// The crawl deadline caught this query mid-search.
-					// There is no time left to retry it, so it is
-					// forfeited and attributed to the deadline; the
-					// interface never billed the aborted attempt
-					// (deepweb.Charged), so the budget unit is refunded.
-					// Not an interface-health signal: the clock ran out,
-					// the backend did nothing wrong.
-					attempts := maxAttempts
-					if st != nil {
-						st.attempts++
-						attempts = st.attempts
-					}
-					ir.counting.Refund()
-					rep.Refunded++
-					env.Obs.Refunded(is.q.Key())
-					rep.Forfeited++
-					rep.DeadlineExhausted++
-					rep.ForfeitedQueries = append(rep.ForfeitedQueries, is.q.Key())
-					env.Obs.Forfeited(is.q.Key(), attempts, is.err)
-					env.Obs.DeadlineForfeited(is.q.Key(), attempts)
-					if ir.metrics != nil {
-						ir.metrics.Forfeits.Inc()
-					}
-					if sink != nil {
-						if err := sink.QueryForfeited(is.q, attempts, false, t.res); err != nil {
-							return nil, sinkErr(err)
-						}
-					}
-					continue
-				default:
-					if ir.metrics != nil {
-						ir.metrics.Errors.Inc()
-					}
-					if health != nil {
-						health.onFailure(ir.idx)
-						noteHealth(ir)
-					}
-					chargedFail := deepweb.Charged(is.err)
-					if !chargedFail {
-						// The interface never billed this failure (429,
-						// open circuit, cancellation) — a query that
-						// never executed must not consume budget.
-						ir.counting.Refund()
-						rep.Refunded++
-						env.Obs.Refunded(is.q.Key())
-					}
-					attempts := maxAttempts
-					requeued := false
-					if st != nil {
-						st.attempts++
-						attempts = st.attempts
-						requeued = requeue(ir, st, is.fromHeap)
-					}
-					if requeued {
-						rep.Requeued++
-						env.Obs.Requeued(is.q.Key(), attempts, is.err)
-						if ir.metrics != nil {
-							ir.metrics.Requeues.Inc()
-						}
-						if sink != nil {
-							if err := sink.QueryRequeued(is.q, attempts, chargedFail, t.res); err != nil {
-								return nil, sinkErr(err)
-							}
-						}
-					} else {
-						rep.Forfeited++
-						rep.ForfeitedQueries = append(rep.ForfeitedQueries, is.q.Key())
-						env.Obs.Forfeited(is.q.Key(), attempts, is.err)
-						if ir.metrics != nil {
-							ir.metrics.Forfeits.Inc()
-						}
-						if sink != nil {
-							if err := sink.QueryForfeited(is.q, attempts, chargedFail, t.res); err != nil {
-								return nil, sinkErr(err)
-							}
-						}
-					}
-					continue
-				}
-			}
-			if rep != nil {
-				rep.Absorbed++
-				rep.dropForfeit(is.q.Key())
-			}
-			if retryBudget != nil {
-				retryBudget.Deposit()
-			}
-			if health != nil && health.degraded(ir.idx) {
-				health.onSuccess(ir.idx)
-				noteHealth(ir)
-			}
-			recs := is.recs
-			if federated && len(recs) > 0 {
-				// Hidden IDs are namespaced per source: distinct
-				// interfaces may assign the same ID to different entities,
-				// and Result.Crawled is keyed by ID. The records are
-				// cloned rather than retagged in place — the searcher may
-				// share result slices across calls (Faulty's stale-page
-				// cache does). Entity-level dedupe across interfaces
-				// still happens downstream: the Joiner matches on values,
-				// and first-match-wins coverage keeps one match per local
-				// record no matter how many interfaces return the entity.
-				remapped := make([]*relational.Record, len(recs))
-				for j, h := range recs {
-					remapped[j] = &relational.Record{ID: h.ID*nIf + ir.idx, Values: h.Values}
-				}
-				recs = remapped
-			}
-			newly := t.absorbSized(is.q, is.benefit, recs, resultSize, ir.k, ir.idx)
-			if sink != nil {
-				if err := sink.StepAbsorbed(t.res, t.res.Steps[len(t.res.Steps)-1], newly); err != nil {
-					return nil, sinkErr(err)
-				}
-			}
-			if s.cfg.OnlineCalibration && st != nil && len(st.qD) > 0 {
-				bkt := bucketOf(len(st.qD))
-				old := ir.calib[bkt]
-				ir.calib[bkt].sum += float64(len(newly))
-				ir.calib[bkt].count++
-				// Rebuild priorities when a bucket first becomes
-				// usable or its mean moves materially; rare once
-				// calibrated.
-				cur := ir.calib[bkt]
-				curMean := cur.sum / float64(cur.count)
-				switch {
-				case cur.count == calibMinObs:
-					ir.sel.heap.Reprioritize(ir.rescore)
-				case old.count >= calibMinObs:
-					oldMean := old.sum / float64(old.count)
-					if curMean > 1.3*oldMean || curMean < 0.7*oldMean {
-						ir.sel.heap.Reprioritize(ir.rescore)
-					}
-				}
-			}
-			// Coverage is global: a record covered through any interface
-			// leaves every interface's consideration set.
-			for _, r2 := range runs {
-				r2.sel.removeBatch(newly)
-			}
-			// §4.2 ΔD prediction: a solid query (result smaller than
-			// k) returns everything matching it, so any record of
-			// q(D) it did not cover cannot be in H — drop it from
-			// consideration. resultSize is the interface's true match
-			// count even when the page was truncated. Solidity — and
-			// the removal — are strictly per issuing interface: a
-			// record absent from H_i may well be in H_j.
-			solid := resultSize < ir.k
-			if solid && !s.cfg.DisableDeltaDRemoval {
-				if st != nil {
-					ir.sel.removeBatchU32(st.qD)
-				}
-			}
-		}
-		if sink != nil {
-			if err := sink.RoundCompleted(t.res); err != nil {
-				return nil, sinkErr(err)
-			}
-		}
+	if ctx := r.cfg.Context; ctx != nil && ctx.Err() != nil {
+		return false
 	}
-
-	s.HeapRepushes = 0
-	for _, ir := range runs {
-		s.HeapRepushes += ir.sel.heap.Repushes
-	}
-	if rep != nil {
-		if anyBreaker {
-			trips := tripsBase
-			for _, ir := range runs {
-				if ir.br != nil {
-					trips += ir.br.Trips()
-				}
-			}
-			rep.BreakerTrips = trips
-		}
-		t.res.Resilience = rep
-	}
-	return t.res, nil
+	return r.searchCtx == nil || r.searchCtx.Err() == nil
 }
 
-// countSatisfying counts the sample positions (matching some local record)
-// whose token sets contain every query keyword. The production path runs
-// the interned kernel (countSatisfyingIDs over precomputed counts; see
-// selection.go); this string implementation is retained as the reference
-// the equivalence tests check the kernel against.
-func countSatisfying(positions []int, sampleTokens []map[string]struct{}, q deepweb.Query) int {
-	if len(positions) == 0 {
-		return 0
+// admit consults ir's circuit breaker for the next round. While it is
+// open each held round advances the count-based cooldown; the round that
+// half-opens it proceeds as a single-query probe. A hold is counted and
+// decays ir's health score.
+func (r *smartRun) admit(ir *ifaceRun) bool {
+	if ir.br == nil || ir.br.Allow() {
+		return true
 	}
-	n := 0
-	for _, pos := range positions {
-		set := sampleTokens[pos]
-		ok := true
-		for _, w := range q {
-			if _, in := set[w]; !in {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			n++
-		}
+	r.rep.BreakerHolds++
+	if ir.metrics != nil {
+		ir.metrics.Holds.Inc()
 	}
-	return n
+	r.noteHealth(ir, false)
+	return false
 }
 
-// eagerArgmax scans every live query state and returns the one with the
-// largest benefit (ties by smaller query ID), mirroring the lazy queue's
-// selection semantics at O(|Q|) per call.
-func eagerArgmax(states []*qstate, benefitOf func(*qstate) float64) (int, float64, bool) {
-	best := -1
-	bestBenefit := 0.0
-	for qid, st := range states {
-		if st == nil || st.issued || st.freqD <= 0 {
+// noteHealth moves ir's health score after an outcome — a failure or a
+// breaker hold decays it, a success recovers a degraded one — and
+// publishes it: the obs gauge (milli-units) and a health trace event.
+// Clean runs never move a score off 1.0, so their traces stay
+// byte-identical.
+func (r *smartRun) noteHealth(ir *ifaceRun, success bool) {
+	h := r.health
+	switch {
+	case h == nil || (success && !h.degraded(ir.idx)):
+		return
+	case success:
+		h.onSuccess(ir.idx)
+	default:
+		h.onFailure(ir.idx)
+	}
+	sc := h.score[ir.idx]
+	if ir.metrics != nil {
+		ir.metrics.HealthScore.Set(int64(sc*1000 + 0.5))
+	}
+	r.env.Obs.Health(ir.name, sc, false)
+}
+
+// allocate grants the next round to an interface. A replayed crashed
+// round goes back to the interface that owned it, and a single-interface
+// crawl has no choice to make (it skips the allocator entirely). It
+// returns held when a breaker held the round, and nil without held when
+// every pool is exhausted.
+func (r *smartRun) allocate() (ir *ifaceRun, held bool, err error) {
+	switch {
+	case len(r.pending) > 0:
+		pi := r.pending[0].Iface
+		if pi < 0 || pi >= len(r.runs) {
+			return nil, false, fmt.Errorf("crawler: recovered pending round is tagged interface %d; run has %d interfaces", pi, len(r.runs))
+		}
+		ir = r.runs[pi]
+	case !r.federated:
+		ir = r.runs[0]
+	default:
+		ir, held = r.allocateFederated()
+		return ir, held, nil
+	}
+	return ir, !r.admit(ir), nil
+}
+
+// allocateFederated grants the round to the live interface whose best
+// clean query promises the largest marginal benefit (ties to the smaller
+// index). Peek does exactly the lazy cleaning a Pop would, so ranking does
+// no throwaway work. Breakers are consulted in rank order, so an open
+// circuit on the best interface cannot starve the healthy ones; if every
+// live interface is held, the round is skipped.
+func (r *smartRun) allocateFederated() (*ifaceRun, bool) {
+	h := r.health
+	cands := r.cands[:0]
+	for _, c := range r.runs {
+		if b, ok := c.sel.peek(); ok {
+			rank := b
+			if h != nil {
+				rank = b * h.score[c.idx]
+			}
+			cands = append(cands, ifaceCand{c, b, rank})
+		}
+	}
+	var (
+		ir           *ifaceRun
+		benefit      float64
+		held, probed bool
+	)
+	if h != nil {
+		// Recovery probe: a degraded interface that has lost ProbeEvery
+		// consecutive rounds force-wins this one (lowest interface index
+		// among those due), breaker permitting — the score only recovers
+		// through successes, and successes need traffic.
+		pi := -1
+		for j, c := range cands {
+			if h.probeDue(c.ir.idx) && (pi == -1 || c.ir.idx < cands[pi].ir.idx) {
+				pi = j
+			}
+		}
+		if pi >= 0 {
+			c := cands[pi]
+			cands = append(cands[:pi], cands[pi+1:]...)
+			if r.admit(c.ir) {
+				ir, benefit, probed = c.ir, c.benefit, true
+				h.sinceProbe[c.ir.idx] = 0
+			} else {
+				held = true
+			}
+		}
+	}
+	for ir == nil && len(cands) > 0 {
+		best := 0
+		for j := 1; j < len(cands); j++ {
+			if cands[j].rank > cands[best].rank {
+				best = j
+			}
+		}
+		c := cands[best]
+		cands = append(cands[:best], cands[best+1:]...)
+		if !r.admit(c.ir) {
+			held = true
 			continue
 		}
-		b := benefitOf(st)
-		if best == -1 || b > bestBenefit {
-			best, bestBenefit = qid, b
+		ir, benefit = c.ir, c.benefit
+	}
+	if ir == nil {
+		return nil, held
+	}
+	if h != nil {
+		// Degraded interfaces that lost this round age toward their
+		// recovery probe.
+		for _, c := range cands {
+			if c.ir != ir && h.degraded(c.ir.idx) {
+				h.sinceProbe[c.ir.idx]++
+			}
+		}
+		if probed {
+			if ir.metrics != nil {
+				ir.metrics.Probes.Inc()
+			}
+			r.env.Obs.Health(ir.name, h.score[ir.idx], true)
 		}
 	}
-	if best == -1 {
-		return 0, 0, false
+	r.env.Obs.Alloc(ir.name, benefit, r.meter.Remaining())
+	if ir.metrics != nil {
+		ir.metrics.Allocs.Inc()
 	}
-	return best, bestBenefit, true
+	return ir, false
+}
+
+// selectRound picks up to batch queries on ir — one while its breaker is
+// half-open, and never more than the remaining budget, so concurrent
+// issues cannot overshoot b. A recovered crashed round is replayed first.
+func (r *smartRun) selectRound(ir *ifaceRun) []issue {
+	n := r.batch
+	if ir.br != nil && ir.br.State() == deepweb.BreakerHalfOpen {
+		n = 1
+	}
+	if rem := r.meter.Remaining(); rem >= 0 && rem < n {
+		n = rem
+	}
+	r.round = r.round[:0]
+	if len(r.pending) > 0 {
+		r.replayPending(ir, n)
+		return r.round
+	}
+	for len(r.round) < n {
+		st, benefit, ok := ir.sel.pop()
+		if !ok {
+			break // pool exhausted
+		}
+		r.round = append(r.round, issue{st: st, benefit: benefit, popped: true, Outcome: deepweb.Outcome{Query: st.q.Keywords}})
+	}
+	return r.round
+}
+
+// replayPending re-issues up to n queries of the crashed round verbatim:
+// same queries, benefits, interface and order. A query whose state drifted
+// out of the pool is still issued, without live bookkeeping. The pending
+// tail is one interface's intent record; trim defensively.
+func (r *smartRun) replayPending(ir *ifaceRun, n int) {
+	m := 0
+	for m < len(r.pending) && r.pending[m].Iface == ir.idx {
+		m++
+	}
+	n = min(n, m)
+	for _, p := range r.pending[:n] {
+		is := issue{benefit: p.Benefit, Outcome: deepweb.Outcome{Query: p.Query}}
+		if q := r.pool.Find(p.Query); q != nil {
+			if st := ir.sel.states[q.ID]; st != nil && !st.issued {
+				ir.sel.retire(st)
+				is.st = st
+			}
+		}
+		r.round = append(r.round, is)
+	}
+	r.pending = r.pending[n:]
+}
+
+// journalIntent is the write-ahead intent: the selected round is
+// journaled before any of it is dispatched, so a crash mid-round can
+// re-issue exactly this batch instead of re-selecting a different one.
+func (r *smartRun) journalIntent(ir *ifaceRun, round []issue) error {
+	sink := r.cfg.Durability
+	if sink == nil {
+		return nil
+	}
+	r.intent = r.intent[:0]
+	for _, is := range round {
+		r.intent = append(r.intent, PendingQuery{Query: is.Query, Benefit: is.benefit, Iface: ir.idx})
+	}
+	return r.sinkErr(sink.RoundSelected(r.intent, r.t.res))
+}
+
+// dispatch issues the round through ir's worker pool. Outcomes come back
+// index-aligned with the selection order regardless of which worker
+// finished first. Under a cancelled context the dispatcher drains:
+// started queries finish, unstarted ones come back undispatched before
+// they could be charged.
+func (r *smartRun) dispatch(ir *ifaceRun, round []issue) {
+	r.env.Obs.Round(len(round), r.meter.Remaining())
+	r.qs = r.qs[:0]
+	for _, is := range round {
+		r.qs = append(r.qs, is.Query)
+	}
+	for i, o := range ir.disp.DispatchCtx(r.cfg.Context, r.qs) {
+		round[i].Outcome = o
+	}
+}
+
+// merge absorbs the round in selection order so runs stay deterministic
+// for any worker count — including every degradation decision (requeue,
+// forfeit, refund, breaker feeding), which is why none of it happens on
+// the workers.
+func (r *smartRun) merge(ir *ifaceRun, round []issue) error {
+	for i := range round {
+		if err := r.settle(ir, &round[i]); err != nil {
+			return err
+		}
+	}
+	if sink := r.cfg.Durability; sink != nil {
+		return r.sinkErr(sink.RoundCompleted(r.t.res))
+	}
+	return nil
+}
+
+// settle resolves one outcome of the round: returned to the pool
+// unissued, stopped by the budget, failed, or absorbed.
+func (r *smartRun) settle(ir *ifaceRun, is *issue) error {
+	sink, rep := r.cfg.Durability, r.rep
+	if is.Undispatched {
+		// Shutdown drain or deadline expiry skipped this query before it
+		// was issued: never executed, never charged, no journal record —
+		// it simply returns to the pool, and a resumed session will find
+		// it still pending in the round intent record. (A deadline-skipped
+		// query is NOT a deadline forfeit: nothing was spent on it.)
+		if is.st != nil {
+			ir.sel.unissue(is.st, is.popped, is.benefit)
+		}
+		return nil
+	}
+	if rep != nil {
+		rep.Dispatched++
+	}
+	if errors.Is(is.Err, deepweb.ErrBudgetExhausted) {
+		if rep != nil {
+			rep.BudgetStops++
+		}
+		if sink != nil {
+			return r.sinkErr(sink.BudgetStopped(is.Query, r.t.res))
+		}
+		return nil
+	}
+	if ir.br != nil {
+		ir.br.Record(is.Err)
+	}
+	resultSize := len(is.Records)
+	if is.Err != nil {
+		var te *deepweb.TruncatedError
+		switch {
+		case rep == nil:
+			return fmt.Errorf("crawler: issuing %q: %w", is.Query, is.Err)
+		case errors.As(is.Err, &te):
+			// A cut page: absorb the partial records below, but judge
+			// solidity — and trace the step — on the true matched size, so
+			// §4.2 never removes ΔD records on the strength of a truncated
+			// result.
+			resultSize = te.Full
+			rep.Truncated++
+			r.env.Obs.Truncated(is.Query.Key(), te.Returned, te.Full)
+		case r.searchCtx != nil && r.searchCtx.Err() != nil &&
+			errors.Is(is.Err, context.DeadlineExceeded):
+			// The crawl deadline caught this query mid-search. There is no
+			// time left to retry it, so it is forfeited and attributed to
+			// the deadline; the interface never billed the aborted attempt
+			// (deepweb.Charged), so the budget unit is refunded. Not an
+			// interface-health signal: the clock ran out, the backend did
+			// nothing wrong.
+			attempts := r.attempt(is.st)
+			r.refund(ir, is.Query)
+			return r.forfeit(ir, is, attempts, false, true)
+		default:
+			return r.fail(ir, is)
+		}
+	}
+	return r.absorb(ir, is, resultSize)
+}
+
+// fail handles a failed attempt: it counts against the interface's
+// health, is refunded when the interface never billed it (429, open
+// circuit, cancellation — a query that never executed must not consume
+// budget), and is requeued or forfeited.
+func (r *smartRun) fail(ir *ifaceRun, is *issue) error {
+	if ir.metrics != nil {
+		ir.metrics.Errors.Inc()
+	}
+	r.noteHealth(ir, false)
+	charged := deepweb.Charged(is.Err)
+	if !charged {
+		r.refund(ir, is.Query)
+	}
+	attempts := r.attempt(is.st)
+	if is.st == nil || !r.requeue(ir, is.st, is.popped) {
+		return r.forfeit(ir, is, attempts, charged, false)
+	}
+	r.rep.Requeued++
+	r.env.Obs.Requeued(is.Query.Key(), attempts, is.Err)
+	if ir.metrics != nil {
+		ir.metrics.Requeues.Inc()
+	}
+	if sink := r.cfg.Durability; sink != nil {
+		return r.sinkErr(sink.QueryRequeued(is.Query, attempts, charged, r.t.res))
+	}
+	return nil
+}
+
+// attempt counts one failed attempt of st and returns the total; a
+// resumed query that left the pool counts as out of attempts.
+func (r *smartRun) attempt(st *qstate) int {
+	if st == nil {
+		return r.maxAttempts
+	}
+	st.attempts++
+	return st.attempts
+}
+
+// refund returns the budget unit of an attempt the interface never billed.
+func (r *smartRun) refund(ir *ifaceRun, q deepweb.Query) {
+	ir.counting.Refund()
+	r.rep.Refunded++
+	r.env.Obs.Refunded(q.Key())
+}
+
+// forfeit gives up on a failed query; deadline attributes it to the
+// crawl deadline.
+func (r *smartRun) forfeit(ir *ifaceRun, is *issue, attempts int, charged, deadline bool) error {
+	rep, key := r.rep, is.Query.Key()
+	rep.Forfeited++
+	if deadline {
+		rep.DeadlineExhausted++
+	}
+	rep.ForfeitedQueries = append(rep.ForfeitedQueries, key)
+	r.env.Obs.Forfeited(key, attempts, is.Err)
+	if deadline {
+		r.env.Obs.DeadlineForfeited(key, attempts)
+	}
+	if ir.metrics != nil {
+		ir.metrics.Forfeits.Inc()
+	}
+	if sink := r.cfg.Durability; sink != nil {
+		return r.sinkErr(sink.QueryForfeited(is.Query, attempts, charged, r.t.res))
+	}
+	return nil
+}
+
+// requeue returns a failed query to its interface's pool for another
+// attempt. Its live statistics are recomputed from the considered set
+// first: removals during the in-flight window skipped this query (issued
+// queries are normally never reconsidered), so freqD/matchS are stale.
+// Returns false — forfeit — when attempts are exhausted, nothing the query
+// covers is still uncovered, or the retry budget is dry (the cheap checks
+// run first so a guaranteed forfeit never burns a token).
+func (r *smartRun) requeue(ir *ifaceRun, st *qstate, popped bool) bool {
+	ir.sel.recompute(st)
+	if st.freqD <= 0 || st.attempts >= r.maxAttempts {
+		return false
+	}
+	if r.retryBudget != nil && !r.retryBudget.Withdraw() {
+		// The budget is dry: forfeiting here is what caps total attempts
+		// near (1+ratio)·dispatches under a sustained outage.
+		r.rep.RetryBudgetDenied++
+		r.env.Obs.RetryDenied(st.q.Keywords.Key())
+		return false
+	}
+	ir.sel.requeue(st, popped)
+	return true
+}
+
+// absorb merges a successful (possibly truncated) result: coverage is
+// global — a record covered through any interface leaves every
+// interface's consideration set — while §4.2 ΔD removal is strictly per
+// issuing interface.
+func (r *smartRun) absorb(ir *ifaceRun, is *issue, resultSize int) error {
+	if r.rep != nil {
+		r.rep.Absorbed++
+		r.rep.dropForfeit(is.Query.Key())
+	}
+	if r.retryBudget != nil {
+		r.retryBudget.Deposit()
+	}
+	r.noteHealth(ir, true)
+	recs := is.Records
+	if r.federated && len(recs) > 0 {
+		// Hidden IDs are namespaced per source: distinct interfaces may
+		// assign the same ID to different entities, and Result.Crawled is
+		// keyed by ID. The records are cloned rather than retagged in
+		// place — the searcher may share result slices across calls
+		// (Faulty's stale-page cache does). Entity-level dedupe across
+		// interfaces still happens downstream: the Joiner matches on
+		// values, and first-match-wins coverage keeps one match per local
+		// record no matter how many interfaces return the entity.
+		remapped := make([]*relational.Record, len(recs))
+		for j, h := range recs {
+			remapped[j] = &relational.Record{ID: h.ID*len(r.runs) + ir.idx, Values: h.Values}
+		}
+		recs = remapped
+	}
+	res := r.t.res
+	newly := r.t.absorbSized(is.Query, is.benefit, recs, resultSize, ir.source)
+	if sink := r.cfg.Durability; sink != nil {
+		if err := sink.StepAbsorbed(res, res.Steps[len(res.Steps)-1], newly); err != nil {
+			return r.sinkErr(err)
+		}
+	}
+	st := is.st
+	if ir.online && st != nil && len(st.qD) > 0 && ir.observe(st, len(newly)) {
+		ir.sel.reprioritize()
+	}
+	for _, other := range r.runs {
+		other.sel.removeBatch(newly)
+	}
+	// §4.2 ΔD prediction: a solid query (result smaller than k) returns
+	// everything matching it, so any record of q(D) it did not cover
+	// cannot be in H — drop it from consideration. resultSize is the
+	// interface's true match count even when the page was truncated; a
+	// record absent from H_i may well be in H_j.
+	if resultSize < ir.k && !r.cfg.DisableDeltaDRemoval && st != nil {
+		ir.sel.removeBatchU32(st.qD)
+	}
+	return nil
+}
+
+// sinkErr wraps a durability-sink failure, which aborts the run.
+func (r *smartRun) sinkErr(err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("crawler: durability sink: %w", err)
+}
+
+// finish settles the run's reported totals. The report's breaker trips
+// still hold the earlier sessions' count here (a breaker implies a
+// report; see setup).
+func (r *smartRun) finish() *Result {
+	r.s.HeapRepushes = 0
+	for _, ir := range r.runs {
+		r.s.HeapRepushes += ir.sel.heap.Repushes
+		if ir.br != nil {
+			r.rep.BreakerTrips += ir.br.Trips()
+		}
+	}
+	return r.t.res
 }

@@ -246,9 +246,17 @@ func TestSingleInterfaceEquivalence(t *testing.T) {
 			}
 
 			fenv := fedEnv(in, tk)
-			fres := runFederated(t, fenv, []crawler.Interface{{
-				Name: "only", Searcher: db, Sample: newSample(),
-			}}, batch, 4, 60, 0)
+			only := []crawler.Interface{{Name: "only", Searcher: db, Sample: newSample()}}
+			fres := runFederated(t, fenv, only, batch, 4, 60, 0)
+			// Both constructors default the estimator the same way, so they
+			// name the n=1 crawl alike.
+			fed, err := crawler.NewFederatedSmart(fenv, crawler.SmartConfig{}, only)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := fed.Name(), single.Name(); got != want {
+				t.Errorf("n=1 federated Name() = %q, want %q", got, want)
+			}
 			if batch == 1 {
 				// Exercise the eager-selection n=1 path too.
 				if _, err := crawler.NewFederatedSmart(fenv, crawler.SmartConfig{

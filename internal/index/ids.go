@@ -22,9 +22,17 @@ type InvertedIDs struct {
 	size     int
 }
 
-// BuildInvertedIDs indexes the records' tokens under dictionary d. Record
-// IDs must be non-negative; lists come out sorted because IDs are sorted
-// defensively after the build, exactly as BuildInvertedN does.
+// minShard is the fewest records worth a shard of its own: sharding
+// overhead beats the gain on small inputs.
+const minShard = 256
+
+// BuildInvertedIDs indexes the records' tokens under dictionary d,
+// sharded over a worker pool: the record slice is split into contiguous
+// chunks, each worker indexes its chunk privately, and the shards are
+// merged in chunk order. Record IDs must be non-negative; lists come out
+// sorted because IDs are sorted defensively after the build, so the result
+// is identical for any worker count. Workers below 2 (or tiny inputs)
+// build sequentially.
 func BuildInvertedIDs(recs []*relational.Record, tk *tokenize.Tokenizer, d *tokenize.Dict, workers int) *InvertedIDs {
 	inv := &InvertedIDs{postings: make([][]uint32, d.Len()), size: len(recs)}
 	if workers > len(recs)/minShard {
@@ -76,9 +84,9 @@ func BuildInvertedIDs(recs []*relational.Record, tk *tokenize.Tokenizer, d *toke
 	return inv
 }
 
-// BuildInvertedIDsObs is BuildInvertedIDs with build observability,
-// mirroring BuildInvertedNObs: shard count and wall-clock land in the
-// sink under phase "index_build". A nil sink is exactly BuildInvertedIDs.
+// BuildInvertedIDsObs is BuildInvertedIDs with build observability: the
+// shard count actually used and the build wall-clock land in the sink
+// under phase "index_build". A nil sink is exactly BuildInvertedIDs.
 func BuildInvertedIDsObs(recs []*relational.Record, tk *tokenize.Tokenizer, d *tokenize.Dict, workers int, o *obs.Obs) *InvertedIDs {
 	if o != nil {
 		defer o.Phase("index_build")()
@@ -273,15 +281,6 @@ func NewForwardDense(n int) *ForwardDense {
 func (f *ForwardDense) Add(rid int, qid uint32) {
 	f.lists[rid] = append(f.lists[rid], qid)
 	f.entries++
-}
-
-// Grow pre-sizes record rid's list for n entries.
-func (f *ForwardDense) Grow(rid, n int) {
-	if cap(f.lists[rid]) < n {
-		l := make([]uint32, len(f.lists[rid]), n)
-		copy(l, f.lists[rid])
-		f.lists[rid] = l
-	}
 }
 
 // List returns F(rid) (shared slice; callers must not mutate).

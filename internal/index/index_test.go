@@ -198,34 +198,6 @@ func toSet(s []int) map[int]bool {
 	return m
 }
 
-func TestForwardIndex(t *testing.T) {
-	f := NewForward()
-	f.Add(3, 10)
-	f.Add(3, 11)
-	f.Add(5, 10)
-	if got := f.List(3); !reflect.DeepEqual(got, []int{10, 11}) {
-		t.Fatalf("List(3) = %v", got)
-	}
-	if f.Len() != 2 {
-		t.Fatalf("Len = %d", f.Len())
-	}
-	if f.TotalEntries() != 3 {
-		t.Fatalf("TotalEntries = %d", f.TotalEntries())
-	}
-	if got := f.Remove(3); !reflect.DeepEqual(got, []int{10, 11}) {
-		t.Fatalf("Remove(3) = %v", got)
-	}
-	if f.List(3) != nil {
-		t.Fatal("List after Remove should be nil")
-	}
-	if f.Len() != 1 {
-		t.Fatalf("Len after Remove = %d", f.Len())
-	}
-	if f.Remove(99) != nil {
-		t.Fatal("Remove of unknown record should be nil")
-	}
-}
-
 func BenchmarkLookup(b *testing.B) {
 	tk := tokenize.New()
 	rng := stats.NewRNG(1)
@@ -244,52 +216,5 @@ func BenchmarkLookup(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		inv.Lookup(q)
-	}
-}
-
-// syntheticRecords builds n records with Zipf-ish random keyword documents,
-// large enough to clear the parallel build's minimum shard size.
-func syntheticRecords(n int) []*relational.Record {
-	rng := stats.NewRNG(99)
-	vocab := make([]string, 300)
-	for i := range vocab {
-		vocab[i] = fmt.Sprintf("word%03d", i)
-	}
-	recs := make([]*relational.Record, n)
-	for i := range recs {
-		m := 2 + rng.Intn(6)
-		words := make([]string, m)
-		for j := range words {
-			words[j] = vocab[rng.Intn(len(vocab))]
-		}
-		// Shuffled IDs: the defensive sort, not arrival order, must
-		// guarantee sorted postings.
-		recs[i] = &relational.Record{ID: i, Values: words}
-	}
-	rng.Shuffle(n, func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
-	return recs
-}
-
-// TestBuildInvertedNMatchesSequential: the sharded build must produce a
-// postings map byte-identical to the sequential one for any worker count,
-// including counts the clamp reduces (tiny input, absurd workers).
-func TestBuildInvertedNMatchesSequential(t *testing.T) {
-	tk := tokenize.New()
-	recs := syntheticRecords(2048)
-	ref := BuildInverted(recs, tk)
-	for _, workers := range []int{2, 4, 8, 64} {
-		got := BuildInvertedN(recs, tk, workers)
-		if got.Size() != ref.Size() || got.VocabularySize() != ref.VocabularySize() {
-			t.Fatalf("workers=%d: size/vocab %d/%d, want %d/%d",
-				workers, got.Size(), got.VocabularySize(), ref.Size(), ref.VocabularySize())
-		}
-		if !reflect.DeepEqual(got.postings, ref.postings) {
-			t.Fatalf("workers=%d: postings diverged from sequential build", workers)
-		}
-	}
-	// Tiny input: clamp forces the sequential path; must still be correct.
-	small := figure1Local()
-	if !reflect.DeepEqual(BuildInvertedN(small, tk, 8).postings, BuildInverted(small, tk).postings) {
-		t.Fatal("clamped parallel build diverged on tiny input")
 	}
 }

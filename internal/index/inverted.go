@@ -8,9 +8,7 @@ package index
 
 import (
 	"sort"
-	"sync"
 
-	"smartcrawl/internal/obs"
 	"smartcrawl/internal/relational"
 	"smartcrawl/internal/tokenize"
 )
@@ -23,85 +21,12 @@ type Inverted struct {
 	size     int // number of indexed records
 }
 
-// minShard is the fewest records worth a shard of its own: sharding
-// overhead beats the gain on small inputs.
-const minShard = 256
-
 // BuildInverted indexes the given records with tokenizer tk.
 func BuildInverted(recs []*relational.Record, tk *tokenize.Tokenizer) *Inverted {
-	return BuildInvertedN(recs, tk, 1)
-}
-
-// BuildInvertedNObs is BuildInvertedN with build observability: the shard
-// count actually used and the build wall-clock land in the sink (phase
-// "index_build"). A nil sink is exactly BuildInvertedN.
-func BuildInvertedNObs(recs []*relational.Record, tk *tokenize.Tokenizer, workers int, o *obs.Obs) *Inverted {
-	if o != nil {
-		defer o.Phase("index_build")()
-	}
-	inv := BuildInvertedN(recs, tk, workers)
-	if o != nil {
-		// Report the effective shard count after the min-shard clamp.
-		effective := workers
-		if effective > len(recs)/minShard {
-			effective = len(recs) / minShard
-		}
-		if effective < 1 {
-			effective = 1
-		}
-		o.IndexBuilt(effective)
-	}
-	return inv
-}
-
-// BuildInvertedN is BuildInverted sharded over a worker pool: the record
-// slice is split into contiguous chunks, each worker tokenizes and indexes
-// its chunk into a private postings map, and the shards are merged in
-// chunk order. The result is identical to the sequential build for any
-// worker count — posting lists are sorted by record ID either way —
-// because tokenization dominates the cost and is embarrassingly parallel.
-// Workers below 2 (or tiny inputs) build sequentially.
-func BuildInvertedN(recs []*relational.Record, tk *tokenize.Tokenizer, workers int) *Inverted {
 	inv := &Inverted{postings: make(map[string][]int), size: len(recs)}
-	if workers > len(recs)/minShard {
-		workers = len(recs) / minShard
-	}
-	if workers <= 1 {
-		for _, r := range recs {
-			for _, w := range r.Tokens(tk) {
-				inv.postings[w] = append(inv.postings[w], r.ID)
-			}
-		}
-		sortPostings(inv.postings)
-		return inv
-	}
-	shards := make([]map[string][]int, workers)
-	var wg sync.WaitGroup
-	chunk := (len(recs) + workers - 1) / workers
-	for s := 0; s < workers; s++ {
-		lo, hi := s*chunk, (s+1)*chunk
-		if hi > len(recs) {
-			hi = len(recs)
-		}
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			m := make(map[string][]int)
-			for _, r := range recs[lo:hi] {
-				for _, w := range r.Tokens(tk) {
-					m[w] = append(m[w], r.ID)
-				}
-			}
-			shards[s] = m
-		}(s, lo, hi)
-	}
-	wg.Wait()
-	// Merge in shard order: contiguous chunks keep IDs grouped, and the
-	// final defensive sort makes the layout identical to the sequential
-	// build regardless of worker count.
-	for _, m := range shards {
-		for w, p := range m {
-			inv.postings[w] = append(inv.postings[w], p...)
+	for _, r := range recs {
+		for _, w := range r.Tokens(tk) {
+			inv.postings[w] = append(inv.postings[w], r.ID)
 		}
 	}
 	sortPostings(inv.postings)
