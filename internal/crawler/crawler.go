@@ -140,6 +140,11 @@ type tracker struct {
 	env    *Env
 	joiner *match.Joiner
 	res    *Result
+	// probed holds the hidden IDs this run has matched against the local
+	// database. Probing one again cannot cover anything: every record it
+	// matched is already Covered. It is per run, not Result.Crawled, so a
+	// resumed run re-probes what an earlier session crawled.
+	probed map[int]struct{}
 }
 
 func newTracker(env *Env) *tracker {
@@ -147,6 +152,7 @@ func newTracker(env *Env) *tracker {
 	return &tracker{
 		env:    env,
 		joiner: match.NewJoiner(env.Local.Records, env.Tokenizer, env.Matcher),
+		probed: make(map[int]struct{}),
 		res: &Result{
 			Covered: make([]bool, n),
 			Matches: make(map[int]*relational.Record),
@@ -183,6 +189,10 @@ func (t *tracker) absorbSized(q deepweb.Query, benefit float64, recs []*relation
 			t.res.Crawled[h.ID] = h
 			newHidden = append(newHidden, h.ID)
 		}
+		if _, ok := t.probed[h.ID]; ok {
+			continue
+		}
+		t.probed[h.ID] = struct{}{}
 		for _, d := range t.joiner.Matches(h) {
 			if t.res.Covered[d] {
 				continue

@@ -2,6 +2,7 @@ package match
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"smartcrawl/internal/relational"
@@ -18,10 +19,17 @@ import (
 //   - Jaccard: prefix-filtered token join (the classic All-Pairs filter:
 //     two sets with Jaccard ≥ τ must share a token within each other's
 //     first |x| − ⌈τ·|x|⌉ + 1 tokens under a global token order), then
-//     threshold verification;
+//     threshold verification. Tokens are interned as ranks in that order,
+//     so a probe tokenizes only the hidden record and verifies by merging
+//     two sorted rank slices;
 //   - any other Matcher: full scan (correct for arbitrary black boxes).
 //
-// Probes reuse internal scratch (dedup stamps, the prefix sort buffer), so
+// The local side is a snapshot: exact keys and token sets are computed by
+// NewJoiner, so a Joiner over records whose values later change is stale —
+// build a new one. A record without tokens in its match projection matches
+// nothing.
+//
+// Probes reuse internal scratch (dedup stamps, the probe's rank buffer), so
 // a Joiner must not be probed from multiple goroutines concurrently; build
 // one Joiner per goroutine instead.
 type Joiner struct {
@@ -32,10 +40,12 @@ type Joiner struct {
 	// exact join state
 	exactKeys map[string][]int
 
-	// jaccard prefix-filter state
+	// jaccard prefix-filter state. Ranks order the local vocabulary by
+	// ascending document frequency, ties by token text (rarer first).
 	threshold float64
-	order     map[string]int // global token order: rarer tokens first
-	prefixInv map[string][]int
+	rank      map[string]int32
+	recRanks  [][]int32 // each local record's distinct tokens as sorted ranks
+	prefixInv [][]int32 // rank → local records with that token in their prefix
 
 	// column projections taken from the matcher (nil = all columns)
 	dCols, hCols []int
@@ -46,10 +56,10 @@ type Joiner struct {
 
 	// probe-side scratch, reused across sequential probes: candidate dedup
 	// within one probe (probeSeen), across one batch (batchSeen — separate
-	// because CoveredBy nests Matches), and the prefix sort buffer.
-	probeSeen denseSeen
-	batchSeen denseSeen
-	sortBuf   []string
+	// because CoveredBy nests Matches), and the probe's ranks.
+	probeSeen  denseSeen
+	batchSeen  denseSeen
+	probeRanks []int32
 }
 
 // denseSeen is a generation-stamped membership set over dense indices:
@@ -91,8 +101,9 @@ func NewJoiner(recs []*relational.Record, tk *tokenize.Tokenizer, m Matcher) *Jo
 		j.dCols, j.hCols = mm.DCols, mm.HCols
 		j.exactKeys = make(map[string][]int, len(recs))
 		for i, r := range recs {
-			k := KeyOn(r, tk, j.dCols)
-			j.exactKeys[k] = append(j.exactKeys[k], i)
+			if k := KeyOn(r, tk, j.dCols); k != "" {
+				j.exactKeys[k] = append(j.exactKeys[k], i)
+			}
 		}
 	case *Jaccard:
 		j.dCols, j.hCols = mm.DCols, mm.HCols
@@ -103,67 +114,50 @@ func NewJoiner(recs []*relational.Record, tk *tokenize.Tokenizer, m Matcher) *Jo
 }
 
 func (j *Joiner) buildPrefixIndex() {
-	// Global order: ascending document frequency, ties by token text.
+	toks := make([][]string, len(j.recs))
 	df := make(map[string]int)
-	for _, r := range j.recs {
-		for _, w := range projTokens(r, j.tk, j.dCols) {
+	for i, r := range j.recs {
+		toks[i] = projTokens(r, j.tk, j.dCols)
+		for _, w := range toks[i] {
 			df[w]++
 		}
 	}
-	tokens := make([]string, 0, len(df))
+	vocab := make([]string, 0, len(df))
 	for w := range df {
-		tokens = append(tokens, w)
+		vocab = append(vocab, w)
 	}
-	sort.Slice(tokens, func(a, b int) bool {
-		if df[tokens[a]] != df[tokens[b]] {
-			return df[tokens[a]] < df[tokens[b]]
+	sort.Slice(vocab, func(a, b int) bool {
+		if df[vocab[a]] != df[vocab[b]] {
+			return df[vocab[a]] < df[vocab[b]]
 		}
-		return tokens[a] < tokens[b]
+		return vocab[a] < vocab[b]
 	})
-	j.order = make(map[string]int, len(tokens))
-	for i, w := range tokens {
-		j.order[w] = i
+	j.rank = make(map[string]int32, len(vocab))
+	for i, w := range vocab {
+		j.rank[w] = int32(i)
 	}
-	j.prefixInv = make(map[string][]int)
-	for i, r := range j.recs {
-		for _, w := range j.prefixTokens(projTokens(r, j.tk, j.dCols)) {
-			j.prefixInv[w] = append(j.prefixInv[w], i)
+	j.recRanks = make([][]int32, len(j.recs))
+	j.prefixInv = make([][]int32, len(vocab))
+	for i, ts := range toks {
+		rs := make([]int32, len(ts))
+		for k, w := range ts {
+			rs[k] = j.rank[w]
+		}
+		slices.Sort(rs)
+		j.recRanks[i] = rs
+		for _, r := range rs[:j.prefixLen(len(rs))] {
+			j.prefixInv[r] = append(j.prefixInv[r], int32(i))
 		}
 	}
 }
 
-// prefixTokens returns the first |x| − ⌈τ·|x|⌉ + 1 tokens of x under the
-// global order. Tokens unknown to the order (probe-side novelties) sort
-// last among themselves by text. The result aliases a reused buffer and
-// is valid only until the next call.
-func (j *Joiner) prefixTokens(toks []string) []string {
-	if len(toks) == 0 {
-		return nil
+// prefixLen is the All-Pairs prefix length |x| − ⌈τ·|x|⌉ + 1 of a set of n
+// tokens, clamped to [1, n]; 0 for an empty set.
+func (j *Joiner) prefixLen(n int) int {
+	if n == 0 {
+		return 0
 	}
-	sorted := append(j.sortBuf[:0], toks...)
-	j.sortBuf = sorted
-	sort.Slice(sorted, func(a, b int) bool {
-		oa, oka := j.order[sorted[a]]
-		ob, okb := j.order[sorted[b]]
-		switch {
-		case oka && okb:
-			return oa < ob
-		case oka:
-			return true
-		case okb:
-			return false
-		default:
-			return sorted[a] < sorted[b]
-		}
-	})
-	p := len(sorted) - int(math.Ceil(j.threshold*float64(len(sorted)))) + 1
-	if p > len(sorted) {
-		p = len(sorted)
-	}
-	if p < 1 {
-		p = 1
-	}
-	return sorted[:p]
+	return min(max(n-int(math.Ceil(j.threshold*float64(n)))+1, 1), n)
 }
 
 // Matches returns the indices (into the record slice passed to NewJoiner)
@@ -173,7 +167,7 @@ func (j *Joiner) Matches(h *relational.Record) []int {
 	switch {
 	case j.exactKeys != nil:
 		cands = j.exactKeys[KeyOn(h, j.tk, j.hCols)]
-	case j.prefixInv != nil:
+	case j.rank != nil:
 		cands = j.jaccardMatches(h)
 	default:
 		for i, d := range j.recs {
@@ -202,22 +196,53 @@ func (j *Joiner) Matches(h *relational.Record) []int {
 	return out
 }
 
+// jaccardMatches probes the prefix index with h's ranks. Tokens outside
+// the local vocabulary have no rank and sort after every known one, so the
+// walk covers the first min(p, known) ranks; they still count in |h|.
 func (j *Joiner) jaccardMatches(h *relational.Record) []int {
 	probe := projTokens(h, j.tk, j.hCols)
+	hs := j.probeRanks[:0]
+	for _, w := range probe {
+		if r, ok := j.rank[w]; ok {
+			hs = append(hs, r)
+		}
+	}
+	slices.Sort(hs)
+	j.probeRanks = hs
 	j.probeSeen.reset(len(j.recs))
 	var out []int
-	for _, w := range j.prefixTokens(probe) {
-		for _, i := range j.prefixInv[w] {
-			if !j.probeSeen.add(i) {
+	for _, r := range hs[:min(j.prefixLen(len(probe)), len(hs))] {
+		for _, i := range j.prefixInv[r] {
+			if !j.probeSeen.add(int(i)) {
 				continue
 			}
-			if JaccardSim(projTokens(j.recs[i], j.tk, j.dCols), probe) >= j.threshold {
-				out = append(out, i)
+			ds := j.recRanks[i]
+			inter := intersectSorted(ds, hs)
+			if float64(inter)/float64(len(ds)+len(probe)-inter) >= j.threshold {
+				out = append(out, int(i))
 			}
 		}
 	}
 	sort.Ints(out)
 	return out
+}
+
+// intersectSorted counts the common elements of two ascending, distinct
+// rank slices.
+func intersectSorted(a, b []int32) int {
+	n := 0
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			a = a[1:]
+		case a[0] > b[0]:
+			b = b[1:]
+		default:
+			n++
+			a, b = a[1:], b[1:]
+		}
+	}
+	return n
 }
 
 // CoveredBy returns the distinct local-record indices matched by any record

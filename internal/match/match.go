@@ -46,9 +46,10 @@ func NewExactOn(tk *tokenize.Tokenizer, dCols, hCols []int) *Exact {
 }
 
 // Match reports whether the two records' normalized match documents are
-// equal.
+// equal and non-empty: a record without tokens matches nothing.
 func (m *Exact) Match(d, h *relational.Record) bool {
-	return KeyOn(d, m.tk, m.DCols) == KeyOn(h, m.tk, m.HCols)
+	k := KeyOn(d, m.tk, m.DCols)
+	return k != "" && k == KeyOn(h, m.tk, m.HCols)
 }
 
 // Key returns the normalized-document key of the whole record: sorted
@@ -110,8 +111,11 @@ func NewJaccardOn(tk *tokenize.Tokenizer, threshold float64, dCols, hCols []int)
 }
 
 // Match reports whether Jaccard(d, h) >= Threshold over match documents.
+// A record without tokens matches nothing, although JaccardSim scores two
+// empty sets as 1.
 func (m *Jaccard) Match(d, h *relational.Record) bool {
-	return JaccardSim(projTokens(d, m.tk, m.DCols), projTokens(h, m.tk, m.HCols)) >= m.Threshold
+	a, b := projTokens(d, m.tk, m.DCols), projTokens(h, m.tk, m.HCols)
+	return len(a) > 0 && len(b) > 0 && JaccardSim(a, b) >= m.Threshold
 }
 
 // JaccardSim computes |a∩b| / |a∪b| over distinct-token slices.

@@ -392,15 +392,16 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-func escapeLabel(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-	return r.Replace(s)
-}
+// The text format's escapes, built once: a Replacer is safe for
+// concurrent use, and building one per call dominated scrape allocation.
+var (
+	labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+)
 
-func escapeHelp(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(s)
-}
+func escapeLabel(s string) string { return labelEscaper.Replace(s) }
+
+func escapeHelp(s string) string { return helpEscaper.Replace(s) }
 
 // Handler serves GET /metrics: collect invokes the caller's gatherers
 // into a fresh Collection per scrape, and the rendered exposition is
