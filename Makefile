@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race check lint allocguard chaos crashtest fedtest crawldtest tracetest ledgertest bench bench-hotpath bench-scale experiments examples fuzz cover clean
+.PHONY: all build vet test test-short race check lint allocguard chaos crashtest fedtest crawldtest tracetest ledgertest bench microbench bench-hotpath bench-scale experiments examples fuzz cover clean
 
 all: build vet test
 
@@ -76,10 +76,12 @@ crawldtest:
 # Federation drill (docs/OPERATIONS.md "Federated crawling"): the
 # determinism oracle over seeds × workers × interface counts, the n=1
 # single-interface byte-equivalence, the charge-sum budget identity, the
-# spec-grammar tests, and the two-hiddenserver e2e — all under the race
-# detector. The federated crash matrix runs with `make crashtest`.
+# spec-grammar tests, the two-hiddenserver e2e, and the engine suite
+# (a -hidden or -url request crawls exactly like its one-spec
+# -interfaces form; Request validation) — all under the race detector.
+# The federated crash matrix runs with `make crashtest`.
 fedtest:
-	$(GO) test -race -count=1 -v ./internal/federate/
+	$(GO) test -race -count=1 -v ./internal/federate/ ./internal/engine/
 
 # Trace-tooling drill (docs/OPERATIONS.md "Analyzing a trace with
 # tracetool"): the internal/trace parser round-tripped against every

@@ -1,7 +1,10 @@
-// Command hiddenserver serves a CSV table as a hidden database: a top-k
-// keyword-search HTTP API with optional request-rate limiting, so crawls
-// can be exercised against a network interface exactly like a real deep
-// website.
+// Command hiddenserver serves a CSV (or .jsonl) table as a hidden
+// database: a top-k keyword-search HTTP API with optional request-rate
+// limiting, so crawls can be exercised against a network interface
+// exactly like a real deep website. The backend is built by
+// federate.Spec.BuildBackend, the same simulator the smartcrawl CLI's
+// -hidden flag and crawld use (hash ranking seed 0x5eed unless
+// -rank-column is given).
 //
 // Usage:
 //
@@ -49,16 +52,14 @@ import (
 	"smartcrawl/internal/deepweb"
 	"smartcrawl/internal/deepweb/httpapi"
 	"smartcrawl/internal/federate"
-	"smartcrawl/internal/hidden"
 	"smartcrawl/internal/obs"
 	"smartcrawl/internal/obs/promexport"
-	"smartcrawl/internal/relational"
 	"smartcrawl/internal/tokenize"
 )
 
 func main() {
 	var (
-		tablePath = flag.String("table", "", "CSV file with the hidden table (header row first)")
+		tablePath = flag.String("table", "", "hidden table: CSV (header row first) or .jsonl")
 		k         = flag.Int("k", 50, "top-k result limit")
 		rankCol   = flag.Int("rank-column", -1, "numeric column to rank by (desc); -1 = hash ranking")
 		ranked    = flag.Bool("non-conjunctive", false, "Yelp-style any-keyword matching")
@@ -76,9 +77,6 @@ func main() {
 	flag.Parse()
 	if (*tablePath == "") == (*profiles == "") {
 		fatal(fmt.Errorf("exactly one of -table and -profiles is required"))
-	}
-	if *k <= 0 {
-		fatal(fmt.Errorf("-k must be >= 1"))
 	}
 	if *rate < 0 {
 		fatal(fmt.Errorf("-rate must be >= 0"))
@@ -104,10 +102,7 @@ func main() {
 			w.Header().Set("Content-Type", "application/json")
 			fmt.Fprintln(w, `{"status":"ok"}`)
 		})
-		for i, sp := range specs {
-			if sp.Name == "" {
-				sp.Name = fmt.Sprintf("h%d", i+1)
-			}
+		for _, sp := range specs {
 			if sp.URL != "" {
 				fatal(fmt.Errorf("profile %q: url= makes no sense server-side; give hidden=", sp.Name))
 			}
@@ -132,40 +127,25 @@ func main() {
 		return
 	}
 
-	f, err := os.Open(*tablePath)
+	sp := federate.Spec{
+		Hidden:         *tablePath,
+		K:              *k,
+		RankColumn:     *rankCol,
+		NonConjunctive: *ranked,
+		Faults:         *faultSpec,
+		FaultSeed:      *faultSeed,
+		FaultLatency:   *faultLat,
+	}
+	searcher, table, err := sp.BuildBackend(tk, o)
 	if err != nil {
 		fatal(err)
 	}
-	table, err := relational.ReadCSV("hidden", f)
-	f.Close()
-	if err != nil {
-		fatal(err)
+	if *faultSpec != "" {
+		fmt.Fprintf(os.Stderr, "fault injection on: %s (seed %d)\n", *faultSpec, *faultSeed)
 	}
-
-	rank := hidden.RankByHash(1)
-	if *rankCol >= 0 {
-		rank = hidden.RankByNumericColumn(*rankCol)
-	}
-	mode := hidden.ModeConjunctive
-	if *ranked {
-		mode = hidden.ModeRanked
-	}
-	db := hidden.New(table, tk, *k, rank, mode)
-
 	var limiter *httpapi.TokenBucket
 	if *rate > 0 {
 		limiter = httpapi.NewTokenBucket(*burst, *rate)
-	}
-	var searcher deepweb.Searcher = db
-	if *faultSpec != "" {
-		p, err := deepweb.ParseFaultProfile(*faultSpec)
-		if err != nil {
-			fatal(err)
-		}
-		p.Seed = *faultSeed
-		p.Latency = *faultLat
-		searcher = deepweb.NewFaulty(searcher, p).WithObs(o)
-		fmt.Fprintf(os.Stderr, "fault injection on: %s (seed %d)\n", *faultSpec, *faultSeed)
 	}
 	srv := httpapi.NewServer(searcher, tk, limiter)
 	srv.SetObs(o)

@@ -50,6 +50,7 @@ import (
 	"smartcrawl/internal/engine"
 	"smartcrawl/internal/obs"
 	"smartcrawl/internal/profiling"
+	"smartcrawl/internal/relational"
 )
 
 func main() {
@@ -62,8 +63,8 @@ func main() {
 		budget      = flag.Int("budget", 100, "query budget b")
 		k           = flag.Int("k", 50, "top-k limit (simulated interface)")
 		rankCol     = flag.Int("rank-column", -1, "ranking column (simulated interface)")
-		theta       = flag.Float64("theta", 0.005, "sampling ratio (simulated interface)")
-		sampleTgt   = flag.Int("sample-target", 200, "sample size target (remote interface)")
+		theta       = flag.Float64("theta", 0.005, "sampling ratio in [0, 1] (simulated interface); 0 = sample-free")
+		sampleTgt   = flag.Int("sample-target", 200, "sample size target (remote interface); 0 = sample-free")
 		strategy    = flag.String("strategy", "smart", "smart | simple | online | naive | full")
 		fuzzy       = flag.Float64("fuzzy", 0, "Jaccard threshold for fuzzy matching (0 = exact)")
 		enrichCols  = flag.String("enrich", "", "comma-separated hidden columns to append (names)")
@@ -152,13 +153,15 @@ func main() {
 	if *enrichCols != "" {
 		req.EnrichColumns = strings.Split(*enrichCols, ",")
 	}
-	local, err := engine.LoadTable(*localPath, "local")
+	local, err := relational.ReadFile("local", *localPath)
 	if err != nil {
 		fatal(err)
 	}
 	req.Local = local
 	if err := req.Validate(); err != nil {
-		fatal(cliError(err))
+		// A usage error: exit status 2, as the flag package uses.
+		fmt.Fprintln(os.Stderr, "smartcrawl:", cliError(err))
+		os.Exit(2)
 	}
 
 	stopProfiles, profErr := profiling.Start(*cpuProfile, *memProfile)
@@ -234,7 +237,7 @@ func main() {
 		defer f.Close()
 		dst = f
 	}
-	if err := engine.WriteTable(dst, out.Local, strings.HasSuffix(*outPath, ".jsonl")); err != nil {
+	if err := out.Local.Write(dst, strings.HasSuffix(*outPath, ".jsonl")); err != nil {
 		fatal(err)
 	}
 }
@@ -246,6 +249,9 @@ func cliError(err error) error {
 	for _, r := range [][2]string{
 		{"engine: exactly one of Hidden and URL is required", "exactly one of -hidden or -url is required"},
 		{"engine: Interfaces replaces Hidden/URL", "-interfaces replaces -hidden/-url"},
+		{"engine: theta ", "-theta "},
+		{"engine: sample-target ", "-sample-target "},
+		{"engine: strategy full needs a sample (Theta or SampleTarget > 0)", "-strategy full needs a sample (-theta or -sample-target > 0)"},
 		{"engine: federated crawls take faults/rate/breaker per interface (inside the spec)", "-interfaces crawls take faults/rate/breaker per interface (inside the spec)"},
 		{"engine: checkpoints support the smart/simple/online strategies", "-checkpoint supports the smart/simple/online strategies"},
 		{"engine: federation supports the smart/simple/online strategies", "-interfaces supports the smart/simple/online strategies"},

@@ -80,7 +80,6 @@ type selShard struct {
 	dMatch  []int32  // per-query matchS decrements
 	dirty   []uint32 // queries touched this batch (dFreq[q] > 0)
 	removed int      // records this shard removed this batch
-	entries int      // forward-index entries dropped this batch
 }
 
 // selectionStats carries the sample-side inputs of newSelection.
@@ -308,8 +307,7 @@ func (sel *selection) removeBatchFunc(n int, at func(int) int) {
 				}
 				sel.considered[d] = false
 				sh.removed++
-				list := sel.fwd.Take(d)
-				sh.entries += len(list)
+				list := sel.fwd.Remove(d)
 				var cnts []int32
 				if sel.fwdCnt != nil {
 					cnts = sel.fwdCnt[d]
@@ -330,12 +328,11 @@ func (sel *selection) removeBatchFunc(n int, at func(int) int) {
 	wg.Wait()
 	// Single-writer merge, shard-major. Per-shard dirty lists may overlap;
 	// the sums commute, so application order cannot matter.
-	removed, entries := 0, 0
+	removed := 0
 	for s := range sel.shardState {
 		sh := &sel.shardState[s]
 		removed += sh.removed
-		entries += sh.entries
-		sh.removed, sh.entries = 0, 0
+		sh.removed = 0
 		for _, qid := range sh.dirty {
 			df, dm := sh.dFreq[qid], sh.dMatch[qid]
 			sh.dFreq[qid], sh.dMatch[qid] = 0, 0
@@ -349,7 +346,6 @@ func (sel *selection) removeBatchFunc(n int, at func(int) int) {
 		}
 		sh.dirty = sh.dirty[:0]
 	}
-	sel.fwd.DropEntries(entries)
 	sel.remaining -= removed
 }
 

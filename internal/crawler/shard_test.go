@@ -117,7 +117,17 @@ func TestRemoveBatchShardedMatchesSequential(t *testing.T) {
 	if seq.remaining != shd.remaining {
 		t.Fatalf("remaining: %d vs %d", seq.remaining, shd.remaining)
 	}
-	if a, b := seq.fwd.TotalEntries(), shd.fwd.TotalEntries(); a != b {
+	entries := func(f *index.ForwardDense) int {
+		n := 0
+		for d := range in.Local.Records {
+			n += len(f.List(d))
+		}
+		return n
+	}
+	if a, b := seq.fwd.Len(), shd.fwd.Len(); a != b {
+		t.Fatalf("forward live lists: %d vs %d", a, b)
+	}
+	if a, b := entries(seq.fwd), entries(shd.fwd); a != b {
 		t.Fatalf("forward entries: %d vs %d", a, b)
 	}
 	for d := range seq.considered {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"smartcrawl/internal/crawler"
-	"smartcrawl/internal/deepweb"
 	"smartcrawl/internal/durable"
 	"smartcrawl/internal/enrich"
 	"smartcrawl/internal/federate"
@@ -41,8 +40,8 @@ type Request struct {
 
 	K            int     // top-k limit (simulated interface)
 	RankColumn   int     // ranking column (simulated); negative = hash
-	Theta        float64 // Bernoulli sampling ratio (simulated)
-	SampleTarget int     // keyword-sample size target (remote)
+	Theta        float64 // Bernoulli sampling ratio in [0, 1] (simulated); 0 = sample-free
+	SampleTarget int     // keyword-sample size target (remote); 0 = sample-free
 	Strategy     string  // smart | simple | online | naive | full
 	Fuzzy        float64 // Jaccard threshold; 0 = exact matching
 	// EnrichColumns names the hidden columns to append; empty auto-maps
@@ -179,8 +178,13 @@ func (req *Request) Validate() error {
 		if _, err := federate.ParseSpecs(req.Interfaces); err != nil {
 			return err
 		}
-	} else if (req.Hidden == "") == (req.URL == "") {
-		return errors.New("engine: exactly one of Hidden and URL is required")
+	} else {
+		if (req.Hidden == "") == (req.URL == "") {
+			return errors.New("engine: exactly one of Hidden and URL is required")
+		}
+		if err := req.spec().Validate(); err != nil {
+			return fmt.Errorf("engine: %w", err)
+		}
 	}
 	switch req.Strategy {
 	case "smart", "simple", "online":
@@ -190,6 +194,9 @@ func (req *Request) Validate() error {
 		}
 		if req.Interfaces != "" {
 			return errors.New("engine: federation supports the smart/simple/online strategies")
+		}
+		if req.Strategy == "full" && (req.Hidden != "" && req.Theta == 0 || req.URL != "" && req.SampleTarget == 0) {
+			return errors.New("engine: strategy full needs a sample (Theta or SampleTarget > 0)")
 		}
 	default:
 		return fmt.Errorf("engine: unknown strategy %q", req.Strategy)
@@ -242,13 +249,48 @@ func (req *Request) Validate() error {
 	if req.Autosave < 0 {
 		return errors.New("engine: Autosave must be >= 0")
 	}
-	if req.Faults != "" {
-		if _, err := deepweb.ParseFaultProfile(req.Faults); err != nil {
-			return err
-		}
-	}
 	if req.TotalBudget && req.Checkpoint == "" {
 		return errors.New("engine: TotalBudget requires Checkpoint (charged queries are recovered from it)")
 	}
 	return nil
+}
+
+// specs translates the request's interface selection into federate
+// specs: the parsed Interfaces grammar, or one unnamed spec carrying the
+// single-interface fields.
+func (req *Request) specs() ([]federate.Spec, error) {
+	if req.Interfaces != "" {
+		return federate.ParseSpecs(req.Interfaces)
+	}
+	return []federate.Spec{req.spec()}, nil
+}
+
+// spec is the single -hidden/-url interface as a federate.Spec. Retries
+// wrap only a paced or faulted interface, and a negative Breaker resolves
+// to its auto threshold: 5 with faults, else off.
+func (req *Request) spec() federate.Spec {
+	sp := federate.Spec{
+		Hidden:       req.Hidden,
+		URL:          req.URL,
+		K:            req.K,
+		RankColumn:   req.RankColumn,
+		Theta:        req.Theta,
+		Seed:         req.Seed,
+		SampleTarget: req.SampleTarget,
+		Faults:       req.Faults,
+		FaultSeed:    req.FaultSeed,
+		Rate:         req.Rate,
+		Burst:        req.Burst,
+		Breaker:      req.Breaker,
+	}
+	if req.Rate > 0 || req.Faults != "" {
+		sp.Retries = req.Retries
+	}
+	if sp.Breaker < 0 {
+		sp.Breaker = 0
+		if req.Faults != "" {
+			sp.Breaker = 5
+		}
+	}
+	return sp
 }

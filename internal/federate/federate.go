@@ -1,22 +1,22 @@
-// Package federate materializes a federated crawl: it parses the CLI
-// grammar describing a set of hidden-database interfaces H1..Hn — each
-// with its own backend, top-k limit, sample, fault profile, politeness
-// stack, and circuit breaker — builds the per-interface searcher
-// compositions, and hands the result to crawler.NewFederatedSmart, which
-// runs the Algorithm-4 loop over all of them under one global budget
-// with marginal-benefit allocation (see DESIGN.md, "Federation").
+// Package federate is the one place that knows how a hidden-database
+// interface is composed. A Spec describes one interface — backend, top-k
+// limit, sample, fault profile, politeness stack, circuit breaker — and
+// Spec.Build turns it into a live crawler.Interface, innermost first:
+// simulated backend or HTTP client → Faulty → Limited → Retrying, with
+// the interface's sample and breaker beside it. Every surface builds
+// through it: the smartcrawl CLI and crawld translate a single -hidden/
+// -url interface into one unnamed Spec, -interfaces parses n of them
+// (ParseSpecs), and cmd/hiddenserver serves Spec.BuildBackend, the
+// server-side half (see DESIGN.md, "Federation").
 //
-// The package is deliberately thin: the federation semantics live in the
-// crawl loop itself (the single-interface crawl is the n=1 federated
-// crawl); what lives here is everything about turning "name=a,hidden=
-// h1.csv,k=10;name=b,url=http://…,faults=transient10" into live
-// interface handles.
+// The federation semantics themselves live in the crawl loop
+// (crawler.NewFederatedSmart runs Algorithm 4 over all interfaces under
+// one global budget; the single-interface crawl is the n=1 case).
 package federate
 
 import (
 	"errors"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -32,12 +32,13 @@ import (
 	"smartcrawl/internal/tokenize"
 )
 
-// Spec describes one interface of a federated crawl — the per-interface
-// half of the smartcrawl CLI flags. Exactly one of Hidden and URL selects
-// the backend.
+// Spec describes one hidden-database interface — the per-interface half
+// of the smartcrawl CLI flags. Exactly one of Hidden and URL selects the
+// backend.
 type Spec struct {
 	// Name labels the interface in metrics, traces, and WAL crash specs.
-	// Defaults to h1..hn by position.
+	// ParseSpecs defaults it to h1..hn by position; a single-interface
+	// crawl leaves it empty.
 	Name string
 	// Hidden is a CSV (or .jsonl) path served through the in-process
 	// simulator.
@@ -53,15 +54,15 @@ type Spec struct {
 	// NonConjunctive switches the simulator to Yelp-style any-keyword
 	// matching.
 	NonConjunctive bool
-	// Theta draws a Bernoulli sample of the simulated backend at this
-	// ratio, enabling the QSel-Est estimators for the interface; 0 runs
-	// it sample-free (QSel-Simple).
+	// Theta, in [0, 1], draws a Bernoulli sample of the simulated backend
+	// at this ratio, enabling the QSel-Est estimators for the interface;
+	// 0 runs it sample-free (QSel-Simple).
 	Theta float64
 	// Seed seeds the Bernoulli draw (and the keyword sampler).
 	Seed uint64
 	// SampleTarget, for remote interfaces, builds a keyword-query sample
 	// of about this many records through the interface itself; 0 runs
-	// sample-free.
+	// sample-free, negative is invalid.
 	SampleTarget int
 	// Faults injects deterministic misbehaviour into the interface's
 	// search path: a preset name or key=value pairs joined by '+'
@@ -98,6 +99,10 @@ func specDefaults() Spec {
 // theta, seed, sample-target, faults, fault-seed, fault-latency, rate,
 // burst, retries, breaker. A fault spec with its own key=value pairs
 // joins them with '+' where the single-interface flag uses ','.
+//
+// Every spec is validated (Spec.Validate), unnamed specs are named h1..hn
+// by position, and duplicate names are rejected — all before any backend
+// is built or any remote sample spends a query.
 func ParseSpecs(s string) ([]Spec, error) {
 	var specs []Spec
 	for _, entry := range strings.Split(s, ";") {
@@ -139,7 +144,6 @@ func ParseSpecs(s string) ([]Spec, error) {
 				sp.SampleTarget, err = strconv.Atoi(val)
 			case "faults":
 				sp.Faults = val
-				_, err = sp.faultProfile()
 			case "fault-seed":
 				sp.FaultSeed, err = strconv.ParseUint(val, 10, 64)
 			case "fault-latency":
@@ -159,15 +163,46 @@ func ParseSpecs(s string) ([]Spec, error) {
 				return nil, fmt.Errorf("federate: spec field %q: %v", field, err)
 			}
 		}
-		if (sp.Hidden == "") == (sp.URL == "") {
-			return nil, fmt.Errorf("federate: spec %q: exactly one of hidden= and url= is required", entry)
+		if err := sp.Validate(); err != nil {
+			return nil, fmt.Errorf("federate: spec %q: %w", entry, err)
 		}
 		specs = append(specs, sp)
 	}
 	if len(specs) == 0 {
 		return nil, errors.New("federate: empty interface spec")
 	}
+	seen := make(map[string]bool, len(specs))
+	for i := range specs {
+		if specs[i].Name == "" {
+			specs[i].Name = fmt.Sprintf("h%d", i+1)
+		}
+		if seen[specs[i].Name] {
+			return nil, fmt.Errorf("federate: duplicate interface name %q", specs[i].Name)
+		}
+		seen[specs[i].Name] = true
+	}
 	return specs, nil
+}
+
+// Validate checks the spec on its own, before anything is built: exactly
+// one backend, θ in [0, 1], a non-negative sample target (0 = sample-free
+// for both), and a parseable fault profile.
+func (sp Spec) Validate() error {
+	if (sp.Hidden == "") == (sp.URL == "") {
+		return errors.New("exactly one of hidden= and url= is required")
+	}
+	if !(sp.Theta >= 0 && sp.Theta <= 1) {
+		return fmt.Errorf("theta %v outside [0, 1] (0 = sample-free)", sp.Theta)
+	}
+	if sp.SampleTarget < 0 {
+		return fmt.Errorf("sample-target %d is negative (0 = sample-free)", sp.SampleTarget)
+	}
+	if sp.Faults != "" {
+		if _, err := sp.faultProfile(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // faultProfile parses the '+'-joined fault spec into a seeded profile.
@@ -181,21 +216,42 @@ func (sp Spec) faultProfile() (deepweb.FaultProfile, error) {
 	return p, nil
 }
 
+// fail prefixes err with the package and, when it has one, the
+// interface's name.
+func (sp Spec) fail(err error) error {
+	if sp.Name == "" {
+		return fmt.Errorf("federate: %w", err)
+	}
+	return fmt.Errorf("federate: interface %q: %w", sp.Name, err)
+}
+
+// withFaults wraps s in the spec's fault injector, if it has one.
+func (sp Spec) withFaults(s deepweb.Searcher, o *obs.Obs) (deepweb.Searcher, error) {
+	if sp.Faults == "" {
+		return s, nil
+	}
+	p, err := sp.faultProfile()
+	if err != nil {
+		return nil, sp.fail(err)
+	}
+	return deepweb.NewFaulty(s, p).WithObs(o), nil
+}
+
 // BuildBackend materializes the spec's server-side searcher: the
-// simulated hidden database (for CSV backends) wrapped in the spec's
-// fault injector. The returned table is the backend's schema source, nil
-// for remote backends. cmd/hiddenserver uses this to serve one profile;
-// Build layers the client-side stack on top of it.
+// simulated hidden database over the Hidden table, wrapped in the spec's
+// fault injector. The returned table is the backend's schema source.
+// cmd/hiddenserver serves this; Build layers the client-side stack on
+// top of it.
 func (sp Spec) BuildBackend(tk *tokenize.Tokenizer, o *obs.Obs) (deepweb.Searcher, *relational.Table, error) {
 	if sp.Hidden == "" {
-		return nil, nil, fmt.Errorf("federate: interface %q has no hidden table to serve", sp.Name)
-	}
-	table, err := readTable(sp.Hidden)
-	if err != nil {
-		return nil, nil, fmt.Errorf("federate: interface %q: %w", sp.Name, err)
+		return nil, nil, sp.fail(errors.New("no hidden table to serve"))
 	}
 	if sp.K <= 0 {
-		return nil, nil, fmt.Errorf("federate: interface %q: k must be > 0", sp.Name)
+		return nil, nil, sp.fail(errors.New("k must be > 0"))
+	}
+	table, err := relational.ReadFile("hidden", sp.Hidden)
+	if err != nil {
+		return nil, nil, sp.fail(err)
 	}
 	rank := hidden.RankByHash(0x5eed)
 	if sp.RankColumn >= 0 {
@@ -205,36 +261,29 @@ func (sp Spec) BuildBackend(tk *tokenize.Tokenizer, o *obs.Obs) (deepweb.Searche
 	if sp.NonConjunctive {
 		mode = hidden.ModeRanked
 	}
-	var s deepweb.Searcher = hidden.New(table, tk, sp.K, rank, mode)
-	if sp.Faults != "" {
-		p, err := sp.faultProfile()
-		if err != nil {
-			return nil, nil, fmt.Errorf("federate: interface %q: %w", sp.Name, err)
-		}
-		s = deepweb.NewFaulty(s, p).WithObs(o)
-	}
-	return s, table, nil
+	s, err := sp.withFaults(hidden.New(table, tk, sp.K, rank, mode), o)
+	return s, table, err
 }
 
 // Build materializes the spec into a live crawler.Interface: backend (or
-// HTTP client), fault injection, client-side rate limiting, retries, the
-// interface's sample, and its circuit breaker. local seeds the keyword
-// sampler of remote interfaces; o (nil ok) observes every layer.
+// HTTP client), the interface's sample, fault injection, client-side rate
+// limiting, retries, and its circuit breaker. local seeds the keyword
+// sampler of remote interfaces; o (nil ok) observes every layer. The
+// returned table is the backend's schema source, nil for remote ones.
 //
-// The composed stack mirrors the single-interface CLI, innermost first:
-// backend → Faulty → Limited → Retrying, with the Breaker handed to the
-// crawl loop's allocator rather than wrapped around the searcher (an
-// open breaker diverts the round to the next-ranked interface instead of
-// failing its queries).
+// The composed stack, innermost first: backend → Faulty → Limited →
+// Retrying. A remote sample is drawn through the bare client, before the
+// stack. The Breaker is handed to the crawl loop rather than wrapped
+// around the searcher (in a federation an open breaker diverts the round
+// to the next-ranked interface instead of failing its queries).
 func (sp Spec) Build(local *relational.Table, tk *tokenize.Tokenizer, o *obs.Obs) (crawler.Interface, *relational.Table, error) {
+	h := crawler.Interface{Name: sp.Name}
 	var (
-		h     crawler.Interface
-		table *relational.Table
 		s     deepweb.Searcher
+		table *relational.Table
+		err   error
 	)
-	h.Name = sp.Name
 	if sp.Hidden != "" {
-		var err error
 		s, table, err = sp.BuildBackend(tk, o)
 		if err != nil {
 			return h, nil, err
@@ -243,31 +292,16 @@ func (sp Spec) Build(local *relational.Table, tk *tokenize.Tokenizer, o *obs.Obs
 			h.Sample = sample.Bernoulli(table, sp.Theta, stats.NewRNG(sp.Seed))
 		}
 	} else {
+		// The client deliberately carries no context: graceful shutdown
+		// drains in-flight queries (their results are absorbed and
+		// journaled), it does not abort them mid-request.
 		client := &httpapi.Client{BaseURL: sp.URL, Retries: 5}
-		pool := sample.SingleKeywordPool(local, tk)
-		if len(pool) == 0 {
-			return h, nil, errors.New("federate: local table has no indexable keywords to probe with")
+		if h.Sample, err = sp.remoteSample(client, local, tk, o); err != nil {
+			return h, nil, err
 		}
-		if err := client.Probe(pool[0]); err != nil {
-			return h, nil, fmt.Errorf("federate: interface %q: probing %s: %w", sp.Name, sp.URL, err)
+		if s, err = sp.withFaults(client, o); err != nil {
+			return h, nil, err
 		}
-		if sp.SampleTarget > 0 {
-			smp, err := sample.Keyword(client, pool, tk, sample.KeywordConfig{
-				Target: sp.SampleTarget, Seed: sp.Seed,
-			})
-			if err != nil {
-				// An exhausted allowance still yields a usable partial
-				// sample (its Theta reflects what was drawn) — same
-				// tolerance as the single-interface -url path, which
-				// warns and proceeds. Anything else, or an empty
-				// sample, is a real failure.
-				if !errors.Is(err, sample.ErrSampleBudget) || smp == nil || smp.Len() == 0 {
-					return h, nil, fmt.Errorf("federate: interface %q: sampling: %w", sp.Name, err)
-				}
-			}
-			h.Sample = smp
-		}
-		s = client
 	}
 	if sp.Rate > 0 {
 		s = &deepweb.Limited{S: s, B: deepweb.NewBucket(sp.Burst, sp.Rate), Obs: o}
@@ -287,31 +321,49 @@ func (sp Spec) Build(local *relational.Table, tk *tokenize.Tokenizer, o *obs.Obs
 	return h, table, nil
 }
 
-// Federation is the materialized interface set of a federated crawl.
+// remoteSample probes a remote interface with one local keyword and, with
+// a positive SampleTarget, draws its keyword-query sample (nil without).
+func (sp Spec) remoteSample(client *httpapi.Client, local *relational.Table, tk *tokenize.Tokenizer, o *obs.Obs) (*sample.Sample, error) {
+	pool := sample.SingleKeywordPool(local, tk)
+	if len(pool) == 0 {
+		return nil, errors.New("federate: local table has no indexable keywords to probe with")
+	}
+	if err := client.Probe(pool[0]); err != nil {
+		return nil, sp.fail(fmt.Errorf("probing %s: %w", sp.URL, err))
+	}
+	if sp.SampleTarget == 0 {
+		return nil, nil
+	}
+	stop := o.Phase("keyword_sample")
+	smp, err := sample.Keyword(client, pool, tk, sample.KeywordConfig{
+		Target: sp.SampleTarget, Seed: sp.Seed,
+	})
+	stop()
+	// An exhausted allowance still yields a usable partial sample (its
+	// Theta reflects what was drawn). Anything else, or an empty sample,
+	// is a real failure.
+	if err != nil && (!errors.Is(err, sample.ErrSampleBudget) || smp.Len() == 0) {
+		return nil, sp.fail(fmt.Errorf("sampling: %w", err))
+	}
+	return smp, nil
+}
+
+// Federation is the materialized interface set of a crawl.
 type Federation struct {
 	// Ifaces are the live interface handles, in spec order — the order is
 	// the interface ID space (crawler.Interface).
 	Ifaces []crawler.Interface
-	// Registry resolves interface names to indices and searchers.
-	Registry *deepweb.Registry
 	// Tables holds each CSV-backed interface's table (schema source for
 	// enrichment), nil for remote backends; aligned with Ifaces.
 	Tables []*relational.Table
 }
 
-// BuildAll materializes every spec, in order, naming unnamed interfaces
-// h1..hn and registering each in a Registry.
+// BuildAll materializes every spec, in order.
 func BuildAll(specs []Spec, local *relational.Table, tk *tokenize.Tokenizer, o *obs.Obs) (*Federation, error) {
-	fed := &Federation{Registry: deepweb.NewRegistry()}
-	for i, sp := range specs {
-		if sp.Name == "" {
-			sp.Name = fmt.Sprintf("h%d", i+1)
-		}
+	fed := &Federation{}
+	for _, sp := range specs {
 		h, table, err := sp.Build(local, tk, o)
 		if err != nil {
-			return nil, err
-		}
-		if _, err := fed.Registry.Add(h.Name, h.Searcher); err != nil {
 			return nil, err
 		}
 		fed.Ifaces = append(fed.Ifaces, h)
@@ -320,16 +372,24 @@ func BuildAll(specs []Spec, local *relational.Table, tk *tokenize.Tokenizer, o *
 	return fed, nil
 }
 
-// HiddenSchema returns the first CSV-backed interface's schema — the
-// enrichment schema of a federated crawl. When every backend is remote
-// the schema is synthesized as col0..colN from the first sampled
-// interface (the same fallback the single-interface -url path uses);
-// nil when no interface exposes even a sample.
-func (f *Federation) HiddenSchema() []string {
+// Table returns the first CSV-backed interface's table, nil when every
+// backend is remote.
+func (f *Federation) Table() *relational.Table {
 	for _, t := range f.Tables {
 		if t != nil {
-			return t.Schema
+			return t
 		}
+	}
+	return nil
+}
+
+// HiddenSchema returns the enrichment schema of the crawl: the first
+// CSV-backed interface's schema or, when every backend is remote, col0..
+// colN synthesized from the first sampled interface; nil when no
+// interface exposes even a sample.
+func (f *Federation) HiddenSchema() []string {
+	if t := f.Table(); t != nil {
+		return t.Schema
 	}
 	for _, h := range f.Ifaces {
 		if h.Sample != nil && h.Sample.Len() > 0 {
@@ -343,16 +403,8 @@ func (f *Federation) HiddenSchema() []string {
 	return nil
 }
 
-// NewCrawler builds the federated SMARTCRAWL crawler over the
-// federation's interfaces. cfg carries the shared loop knobs (batch,
-// workers, resume state, durability); per-interface knobs came from the
-// specs.
-func (f *Federation) NewCrawler(env *crawler.Env, cfg crawler.SmartConfig) (*crawler.Smart, error) {
-	return crawler.NewFederatedSmart(env, cfg, f.Ifaces)
-}
-
-// AnyFaults reports whether any spec injects faults — the CLI uses it to
-// default the graceful-degradation knobs on.
+// AnyFaults reports whether any spec injects faults — the engine uses it
+// to default the graceful-degradation knobs on.
 func AnyFaults(specs []Spec) bool {
 	for _, sp := range specs {
 		if sp.Faults != "" {
@@ -360,17 +412,4 @@ func AnyFaults(specs []Spec) bool {
 		}
 	}
 	return false
-}
-
-// readTable loads CSV or, for .jsonl paths, JSON Lines.
-func readTable(path string) (*relational.Table, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".jsonl") {
-		return relational.ReadJSONL("hidden", f)
-	}
-	return relational.ReadCSV("hidden", f)
 }

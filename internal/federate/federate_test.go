@@ -57,9 +57,30 @@ func TestParseSpecsRejects(t *testing.T) {
 		"hidden=a.csv,k=ten",                 // bad int
 		"hidden=a.csv,faults=no-such",        // bad fault grammar, caught at parse
 		"hidden=a.csv,fault-latency=forever", // bad duration
+		"hidden=a.csv,theta=2",               // θ above 1
+		"hidden=a.csv,theta=-0.1",            // θ below 0
+		"hidden=a.csv,theta=NaN",             // θ not a ratio
+		"url=http://x,sample-target=-1",      // negative sample target
+		"name=a,hidden=x.csv;name=a,url=http://y", // duplicate name
+		"name=h2,hidden=x.csv;hidden=y.csv",       // default h2 collides
 	} {
 		if _, err := federate.ParseSpecs(bad); err == nil {
 			t.Errorf("ParseSpecs(%q) accepted", bad)
+		}
+	}
+}
+
+// TestParseSpecsNames checks the naming contract: unnamed specs default
+// to h1..hn by position, and a sample-free spec (theta=0, sample-target=0)
+// is valid.
+func TestParseSpecsNames(t *testing.T) {
+	specs, err := federate.ParseSpecs("hidden=a.csv,theta=0;name=x,url=http://h,sample-target=0;hidden=b.csv,theta=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"h1", "x", "h3"} {
+		if specs[i].Name != want {
+			t.Errorf("spec %d named %q, want %q", i, specs[i].Name, want)
 		}
 	}
 }
@@ -103,8 +124,8 @@ func TestBuildAllFromCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fed.Registry.Names(); len(got) != 2 || got[0] != "a" || got[1] != "h2" {
-		t.Errorf("registry names %v, want [a h2] (unnamed specs default positionally)", got)
+	if a, b := fed.Ifaces[0].Name, fed.Ifaces[1].Name; a != "a" || b != "h2" {
+		t.Errorf("interface names [%s %s], want [a h2] (unnamed specs default positionally)", a, b)
 	}
 	if len(fed.HiddenSchema()) != len(in.Hidden.Schema) {
 		t.Errorf("HiddenSchema %v, want the CSV schema %v", fed.HiddenSchema(), in.Hidden.Schema)
@@ -117,7 +138,7 @@ func TestBuildAllFromCSV(t *testing.T) {
 	}
 
 	env := fedEnv(in, tk)
-	c, err := fed.NewCrawler(env, crawler.SmartConfig{BatchSize: 4, MaxAttempts: 3})
+	c, err := crawler.NewFederatedSmart(env, crawler.SmartConfig{BatchSize: 4, MaxAttempts: 3}, fed.Ifaces)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,9 +215,9 @@ func TestMultiServerE2E(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := fed.NewCrawler(fedEnv(in, tk), crawler.SmartConfig{
+		c, err := crawler.NewFederatedSmart(fedEnv(in, tk), crawler.SmartConfig{
 			BatchSize: 4, Concurrency: 4, MaxAttempts: 5,
-		})
+		}, fed.Ifaces)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -268,8 +268,7 @@ func containsU32(p []uint32, v uint32) bool {
 // ascending order by construction (the setup loop walks pool queries in
 // ID order), which RemoveList's callers rely on for binary search.
 type ForwardDense struct {
-	lists   [][]uint32
-	entries int
+	lists [][]uint32
 }
 
 // NewForwardDense returns a forward index over records 0..n-1.
@@ -280,7 +279,6 @@ func NewForwardDense(n int) *ForwardDense {
 // Add records that query qid is satisfied by record rid.
 func (f *ForwardDense) Add(rid int, qid uint32) {
 	f.lists[rid] = append(f.lists[rid], qid)
-	f.entries++
 }
 
 // List returns F(rid) (shared slice; callers must not mutate).
@@ -289,27 +287,13 @@ func (f *ForwardDense) List(rid int) []uint32 { return f.lists[rid] }
 // Remove returns F(rid) and drops it from the index; the record is
 // leaving D and its list will not be consulted again. The returned slice
 // stays valid until the caller's next allocation churn (it is the
-// original backing array).
+// original backing array). It touches only slot rid, so shard workers
+// owning disjoint record ranges may call it concurrently.
 func (f *ForwardDense) Remove(rid int) []uint32 {
 	l := f.lists[rid]
 	f.lists[rid] = nil
-	f.entries -= len(l)
 	return l
 }
-
-// Take is Remove without the shared entry-counter update — the race-free
-// form for shard-parallel batch removal, where each shard owns a disjoint
-// record range but the counter is shared. The caller settles the counter
-// once per batch with DropEntries.
-func (f *ForwardDense) Take(rid int) []uint32 {
-	l := f.lists[rid]
-	f.lists[rid] = nil
-	return l
-}
-
-// DropEntries subtracts n entries from the total, balancing a batch of
-// Take calls.
-func (f *ForwardDense) DropEntries(n int) { f.entries -= n }
 
 // Len returns the number of records with live forward lists.
 func (f *ForwardDense) Len() int {
@@ -321,6 +305,3 @@ func (f *ForwardDense) Len() int {
 	}
 	return n
 }
-
-// TotalEntries returns Σ|F(d)| over live lists — the Appendix B term.
-func (f *ForwardDense) TotalEntries() int { return f.entries }

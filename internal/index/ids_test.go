@@ -206,8 +206,8 @@ func TestForwardDense(t *testing.T) {
 	f.Add(0, 10)
 	f.Add(0, 11)
 	f.Add(2, 10)
-	if f.TotalEntries() != 3 || f.Len() != 2 {
-		t.Fatalf("entries=%d live=%d, want 3/2", f.TotalEntries(), f.Len())
+	if f.Len() != 2 {
+		t.Fatalf("live=%d, want 2", f.Len())
 	}
 	if got := f.List(0); !reflect.DeepEqual(got, []uint32{10, 11}) {
 		t.Fatalf("List(0) = %v", got)
@@ -215,9 +215,9 @@ func TestForwardDense(t *testing.T) {
 	if got := f.Remove(0); !reflect.DeepEqual(got, []uint32{10, 11}) {
 		t.Fatalf("Remove(0) = %v", got)
 	}
-	if f.List(0) != nil || f.TotalEntries() != 1 || f.Len() != 1 {
-		t.Fatalf("post-remove state wrong: list=%v entries=%d live=%d",
-			f.List(0), f.TotalEntries(), f.Len())
+	if f.List(0) != nil || len(f.List(2)) != 1 || f.Len() != 1 {
+		t.Fatalf("post-remove state wrong: list=%v list(2)=%v live=%d",
+			f.List(0), f.List(2), f.Len())
 	}
 	if got := f.Remove(1); len(got) != 0 {
 		t.Fatalf("Remove(empty) = %v, want empty", got)

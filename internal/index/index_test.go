@@ -67,8 +67,8 @@ func TestDocFreqAndVocabulary(t *testing.T) {
 		t.Fatalf("DocFreq(nope) = %d", got)
 	}
 	// vocabulary: thai, noodle, house, saigon, express
-	if got := inv.VocabularySize(); got != 5 {
-		t.Fatalf("VocabularySize = %d", got)
+	if got := len(inv.postings); got != 5 {
+		t.Fatalf("vocabulary size = %d", got)
 	}
 }
 

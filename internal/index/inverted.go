@@ -47,9 +47,6 @@ func sortPostings(postings map[string][]int) {
 // Size returns the number of indexed records.
 func (inv *Inverted) Size() int { return inv.size }
 
-// VocabularySize returns the number of distinct indexed keywords.
-func (inv *Inverted) VocabularySize() int { return len(inv.postings) }
-
 // Postings returns the posting list for keyword w (shared slice; callers
 // must not mutate). A missing keyword yields nil.
 func (inv *Inverted) Postings(w string) []int { return inv.postings[w] }

@@ -2,7 +2,10 @@ package jobs
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -313,6 +316,19 @@ func TestSubmitValidation(t *testing.T) {
 			sp.Hidden = ""
 			sp.Interfaces = "name=a,hidden=" + hiddenPath
 		}, "allow-local-backends"},
+		{"theta below zero", m, func(sp *Spec) { sp.Theta = -0.1 }, "theta"},
+		{"theta above one", m, func(sp *Spec) { sp.Theta = 2 }, "theta"},
+		{"negative sample target", mNoLocal, func(sp *Spec) {
+			sp.Hidden, sp.URL, sp.SampleTarget = "", "http://localhost:1", -1
+		}, "sample-target"},
+		{"federated theta", m, func(sp *Spec) {
+			sp.Hidden = ""
+			sp.Interfaces = "name=a,hidden=" + hiddenPath + ",theta=2"
+		}, "theta"},
+		{"duplicate interface names", m, func(sp *Spec) {
+			sp.Hidden = ""
+			sp.Interfaces = "name=a,hidden=" + hiddenPath + ";name=a,hidden=" + hiddenPath
+		}, "duplicate"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -322,6 +338,36 @@ func TestSubmitValidation(t *testing.T) {
 				t.Fatalf("Submit err = %v, want containing %q", err, tc.want)
 			}
 		})
+	}
+
+	// Over the wire, a remote-backend spec with an out-of-range sample
+	// target — which needs no -allow-local-backends — is a 400, and the
+	// daemon goes on to run the next job.
+	srv := httptest.NewServer(NewServer(m).Handler())
+	defer srv.Close()
+	post := func(sp Spec) (int, Job) {
+		t.Helper()
+		body, _ := json.Marshal(sp)
+		resp, err := http.Post(srv.URL+"/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var j Job
+		_ = json.NewDecoder(resp.Body).Decode(&j)
+		return resp.StatusCode, j
+	}
+	bad := baseSpec(1)
+	bad.Hidden, bad.URL, bad.SampleTarget = "", "http://localhost:1", -1
+	if code, _ := post(bad); code != http.StatusBadRequest {
+		t.Fatalf("sample_target -1 over HTTP: status %d, want 400", code)
+	}
+	code, j := post(baseSpec(1))
+	if code != http.StatusAccepted {
+		t.Fatalf("follow-up submission: status %d, want 202", code)
+	}
+	if got := waitState(t, m, j.ID); got.State != StateDone {
+		t.Fatalf("follow-up job finished %s: %s", got.State, got.Error)
 	}
 }
 

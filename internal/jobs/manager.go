@@ -397,7 +397,7 @@ func (m *Manager) Submit(sp Spec) (*Job, error) {
 // loadLocal materializes the job's local table from its spec.
 func loadLocal(sp *Spec) (*relational.Table, error) {
 	if sp.LocalPath != "" {
-		return engine.LoadTable(sp.LocalPath, "local")
+		return relational.ReadFile("local", sp.LocalPath)
 	}
 	t, err := relational.ReadCSV("local", strings.NewReader(sp.LocalCSV))
 	if err != nil {
@@ -646,9 +646,9 @@ func (m *Manager) crawl(j *job, ctx context.Context) (*engine.Outcome, error) {
 		err   error
 	)
 	if sp.LocalPath != "" {
-		local, err = engine.LoadTable(sp.LocalPath, "local")
+		local, err = relational.ReadFile("local", sp.LocalPath)
 	} else {
-		local, err = engine.LoadTable(filepath.Join(dir, "local.csv"), "local")
+		local, err = relational.ReadFile("local", filepath.Join(dir, "local.csv"))
 	}
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 
 	"smartcrawl/internal/tokenize"
@@ -120,6 +121,34 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// ReadFile loads the table at path: JSON Lines for a .jsonl path, CSV
+// (header row first) otherwise.
+func ReadFile(name, path string) (*Table, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var t *Table
+	if strings.HasSuffix(path, ".jsonl") {
+		t, err = ReadJSONL(name, f)
+	} else {
+		t, err = ReadCSV(name, f)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("reading %s: %w", path, err)
+	}
+	return t, nil
+}
+
+// Write writes the table as CSV, or as JSON Lines when jsonl is set.
+func (t *Table) Write(w io.Writer, jsonl bool) error {
+	if jsonl {
+		return t.WriteJSONL(w)
+	}
+	return t.WriteCSV(w)
 }
 
 // ReadCSV reads a table (header row first) from r.
