@@ -84,12 +84,14 @@ fedtest:
 	$(GO) test -race -count=1 -v ./internal/federate/ ./internal/engine/
 
 # Trace-tooling drill (docs/OPERATIONS.md "Analyzing a trace with
-# tracetool"): the internal/trace parser round-tripped against every
-# schema event type, tracetool's golden-file CLI outputs, and the
-# clean-vs-transient10 diff e2e on real crawls. Goldens regenerate with
-# `go test ./cmd/tracetool/ -update`.
+# tracetool"): the writer side of the schema (internal/obs: the golden
+# trace pinning every event type's bytes, concurrent emits), the
+# internal/trace parser round-tripped against every schema event type,
+# tracetool's golden-file CLI outputs, and the clean-vs-transient10 diff
+# e2e on real crawls. Goldens regenerate with `go test ./cmd/tracetool/
+# -update` and `go test ./internal/obs/ -run TestGoldenTrace -update`.
 tracetest:
-	$(GO) test -race -count=1 -v ./internal/trace/ ./cmd/tracetool/
+	$(GO) test -race -count=1 -v ./internal/obs/ ./internal/trace/ ./cmd/tracetool/
 
 # Ledger drill (ledger/README.md): the benchmark's own module tests. Every
 # crawl they run must reproduce the per-seed digest recorded in

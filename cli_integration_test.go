@@ -2,6 +2,7 @@ package smartcrawl_test
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -189,51 +190,9 @@ func TestCLIRemoteCrawl(t *testing.T) {
 		t.Fatalf("gendata: %v\n%s", err, out)
 	}
 
-	// The server binds :0 itself and announces the bound address — no
-	// pick-then-rebind race.
-	server := exec.Command(serverBin,
+	addr := startHiddenserver(t, serverBin,
 		"-table", filepath.Join(dir, "yelp_hidden.csv"),
-		"-k", "50", "-rank-column", "3", "-addr", "127.0.0.1:0")
-	stdout, err := server.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := server.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		_ = server.Process.Signal(os.Interrupt)
-		_, _ = server.Process.Wait()
-	}()
-	var addr string
-	sc := bufio.NewScanner(stdout)
-	for sc.Scan() {
-		if a, ok := strings.CutPrefix(sc.Text(), "listening on "); ok {
-			addr = a
-			break
-		}
-	}
-	if addr == "" {
-		t.Fatal("hiddenserver never announced its address")
-	}
-	go io.Copy(io.Discard, stdout)
-
-	// The announce happens after Listen, so the port is already open —
-	// one readiness probe confirms the handler is serving.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get("http://" + addr + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == 200 {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("hiddenserver did not become ready")
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+		"-k", "50", "-rank-column", "3")
 
 	out, err = exec.Command(crawlBin,
 		"-local", filepath.Join(dir, "yelp_local.csv"),
@@ -276,6 +235,114 @@ func TestCLIRemoteCrawl(t *testing.T) {
 	}
 	if !strings.Contains(metrics, "smartcrawl_search_latency_seconds_bucket{le=\"+Inf\"}") {
 		t.Errorf("/metrics missing latency histogram:\n%.400s", metrics)
+	}
+}
+
+// startHiddenserver runs the hiddenserver binary on a kernel-picked
+// port, waits until /healthz answers, and returns the bound address. The
+// server is interrupted when the test ends.
+func startHiddenserver(t *testing.T, bin string, args ...string) string {
+	t.Helper()
+	// The server binds :0 itself and announces the bound address — no
+	// pick-then-rebind race.
+	server := exec.Command(bin, append(args, "-addr", "127.0.0.1:0")...)
+	stdout, err := server.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := server.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		_ = server.Process.Signal(os.Interrupt)
+		_, _ = server.Process.Wait()
+	})
+	var addr string
+	sc := bufio.NewScanner(stdout)
+	for sc.Scan() {
+		if a, ok := strings.CutPrefix(sc.Text(), "listening on "); ok {
+			addr = a
+			break
+		}
+	}
+	if addr == "" {
+		t.Fatal("hiddenserver never announced its address")
+	}
+	go io.Copy(io.Discard, stdout)
+
+	// The announce happens after Listen, so the port is already open —
+	// one readiness probe confirms the handler is serving.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get("http://" + addr + "/healthz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == 200 {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("hiddenserver did not become ready")
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	return addr
+}
+
+// TestHiddenserverProfiles serves two interfaces from one hiddenserver
+// process with -profiles: each answers /<name>/search with its own k,
+// and nothing is mounted at the root.
+func TestHiddenserverProfiles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped in -short")
+	}
+	dir := t.TempDir()
+	gendata := buildTool(t, dir, "gendata")
+	serverBin := buildTool(t, dir, "hiddenserver")
+	if out, err := exec.Command(gendata,
+		"-kind", "yelp", "-hidden", "2000", "-local", "20",
+		"-seed", "13", "-out", dir).CombinedOutput(); err != nil {
+		t.Fatalf("gendata: %v\n%s", err, out)
+	}
+	table := filepath.Join(dir, "yelp_hidden.csv")
+	addr := startHiddenserver(t, serverBin, "-profiles",
+		"name=a,hidden="+table+",k=3;name=b,hidden="+table+",k=7,rank-column=3")
+
+	get := func(path string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+	for _, tc := range []struct {
+		name string
+		k    int
+	}{{"a", 3}, {"b", 7}} {
+		code, body := get("/" + tc.name + "/search?q=kitchen")
+		if code != http.StatusOK {
+			t.Fatalf("/%s/search: status %d: %s", tc.name, code, body)
+		}
+		var res struct {
+			K       int               `json:"k"`
+			Records []json.RawMessage `json:"records"`
+		}
+		if err := json.Unmarshal(body, &res); err != nil {
+			t.Fatalf("/%s/search: %v: %s", tc.name, err, body)
+		}
+		if res.K != tc.k || len(res.Records) != tc.k {
+			t.Errorf("/%s/search: k=%d with %d records, want a full page of %d",
+				tc.name, res.K, len(res.Records), tc.k)
+		}
+	}
+	if code, _ := get("/search?q=kitchen"); code != http.StatusNotFound {
+		t.Errorf("/search with only named profiles: status %d, want 404", code)
 	}
 }
 

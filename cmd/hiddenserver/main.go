@@ -10,6 +10,12 @@
 //
 //	hiddenserver -table hidden.csv -k 50 -rank-column 3 -addr :8080 \
 //	             -rate 10 -burst 100
+//	hiddenserver -profiles "name=a,hidden=h1.csv,k=10;name=b,hidden=h2.csv,rate=5"
+//
+// -table and its flags form one spec served at /; each -profiles spec is
+// served under /<name>/ (GET /a/search, /b/search, …). Both modes build
+// every interface through the same loop: BuildBackend, an optional
+// server-side token bucket, one httpapi.Server.
 //
 // Endpoints:
 //
@@ -85,49 +91,11 @@ func main() {
 		fatal(fmt.Errorf("-burst must be >= 1"))
 	}
 
-	tk := tokenize.New()
-	o := obs.New()
-
-	// Multi-profile mode: one process serves n independent interfaces,
-	// each with its own table, k, ranking, fault profile, and server-side
-	// rate limit, mounted under /<name>/ — the fixture a federated crawl
-	// points its url= specs at.
-	if *profiles != "" {
-		specs, err := federate.ParseSpecs(*profiles)
-		if err != nil {
-			fatal(err)
-		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			fmt.Fprintln(w, `{"status":"ok"}`)
-		})
-		for _, sp := range specs {
-			if sp.URL != "" {
-				fatal(fmt.Errorf("profile %q: url= makes no sense server-side; give hidden=", sp.Name))
-			}
-			backend, table, err := sp.BuildBackend(tk, o)
-			if err != nil {
-				fatal(err)
-			}
-			var limiter *httpapi.TokenBucket
-			if sp.Rate > 0 {
-				limiter = httpapi.NewTokenBucket(sp.Burst, sp.Rate)
-			}
-			psrv := httpapi.NewServer(backend, tk, limiter)
-			psrv.SetObs(o)
-			mux.Handle("/"+sp.Name+"/", http.StripPrefix("/"+sp.Name, psrv.Handler()))
-			fmt.Printf("profile %s: %d records (k=%d) at /%s/", sp.Name, table.Len(), sp.K, sp.Name)
-			if sp.Faults != "" {
-				fmt.Printf(" faults=%s seed=%d", sp.Faults, sp.FaultSeed)
-			}
-			fmt.Println()
-		}
-		serve(*addr, *debug, o, mux)
-		return
-	}
-
-	sp := federate.Spec{
+	// -table and its flags are one unnamed spec served at /; -profiles
+	// serves n named specs from one process, each with its own table, k,
+	// ranking, fault profile and rate limit, under /<name>/ — the fixture
+	// a federated crawl points its url= specs at.
+	specs := []federate.Spec{{
 		Hidden:         *tablePath,
 		K:              *k,
 		RankColumn:     *rankCol,
@@ -135,23 +103,49 @@ func main() {
 		Faults:         *faultSpec,
 		FaultSeed:      *faultSeed,
 		FaultLatency:   *faultLat,
+		Rate:           *rate,
+		Burst:          *burst,
+	}}
+	if *profiles != "" {
+		var err error
+		if specs, err = federate.ParseSpecs(*profiles); err != nil {
+			fatal(err)
+		}
 	}
-	searcher, table, err := sp.BuildBackend(tk, o)
-	if err != nil {
-		fatal(err)
-	}
-	if *faultSpec != "" {
-		fmt.Fprintf(os.Stderr, "fault injection on: %s (seed %d)\n", *faultSpec, *faultSeed)
-	}
-	var limiter *httpapi.TokenBucket
-	if *rate > 0 {
-		limiter = httpapi.NewTokenBucket(*burst, *rate)
-	}
-	srv := httpapi.NewServer(searcher, tk, limiter)
-	srv.SetObs(o)
 
-	fmt.Printf("serving %d records (k=%d)\n", table.Len(), *k)
-	serve(*addr, *debug, o, srv.Handler())
+	tk := tokenize.New()
+	o := obs.New()
+	mux := http.NewServeMux()
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprintln(w, `{"status":"ok"}`)
+	})
+	for _, sp := range specs {
+		if sp.URL != "" {
+			fatal(fmt.Errorf("profile %q: url= makes no sense server-side; give hidden=", sp.Name))
+		}
+		backend, table, err := sp.BuildBackend(tk, o)
+		if err != nil {
+			fatal(err)
+		}
+		var limiter *deepweb.Bucket
+		if sp.Rate > 0 {
+			limiter = deepweb.NewBucket(sp.Burst, sp.Rate)
+		}
+		srv := httpapi.NewServer(backend, tk, limiter)
+		srv.SetObs(o)
+		prefix := ""
+		if sp.Name != "" {
+			prefix = "/" + sp.Name
+		}
+		mux.Handle(prefix+"/", http.StripPrefix(prefix, srv.Handler()))
+		fmt.Printf("serving %d records (k=%d) at %s/", table.Len(), sp.K, prefix)
+		if sp.Faults != "" {
+			fmt.Printf(" faults=%s seed=%d", sp.Faults, sp.FaultSeed)
+		}
+		fmt.Println()
+	}
+	serve(*addr, *debug, o, mux)
 }
 
 // serve runs the HTTP server with the debug endpoints and graceful

@@ -1,6 +1,7 @@
 package smartcrawl_test
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
@@ -41,6 +42,55 @@ func ExampleNewSmartCrawler() {
 	fmt.Println("covered:", res.CoveredCount)
 	// Output:
 	// covered: 2
+}
+
+// ExampleParseTrace traces a crawl and reads back, for each issued query,
+// the estimated benefit the crawler selected it by and the coverage it
+// actually added.
+func ExampleParseTrace() {
+	tk := smartcrawl.NewTokenizer()
+
+	hidden := smartcrawl.NewTable("yelp", []string{"name", "rating"})
+	hidden.Append("Thai Noodle House", "4.0")
+	hidden.Append("Saigon Ramen", "3.9")
+	hidden.Append("Steak House", "4.3")
+	db := smartcrawl.NewHiddenDatabase(hidden, tk, smartcrawl.HiddenOptions{K: 2, RankColumn: 1})
+
+	local := smartcrawl.NewTable("mine", []string{"name"})
+	local.Append("Thai Noodle House")
+	local.Append("Saigon Ramen")
+
+	var buf bytes.Buffer
+	o := smartcrawl.NewObs()
+	o.SetTracer(smartcrawl.NewTracer(&buf))
+	env := &smartcrawl.Env{
+		Local:     local,
+		Searcher:  db,
+		Tokenizer: tk,
+		Matcher:   smartcrawl.NewExactMatcherOn(tk, nil, []int{0}),
+		Obs:       o,
+	}
+	c, err := smartcrawl.NewSmartCrawler(env, smartcrawl.SmartOptions{
+		Sample: smartcrawl.BernoulliSample(hidden, 0.5, 1),
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := c.Run(2); err != nil {
+		log.Fatal(err)
+	}
+	events, err := smartcrawl.ParseTrace(&buf)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, e := range events {
+		if q, ok := e.Data.(*smartcrawl.TraceQuery); ok {
+			fmt.Printf("%q est=%g new=%d\n", q.Query, q.EstBenefit, q.NewCovered)
+		}
+	}
+	// Output:
+	// "house noodle thai" est=1 new=1
+	// "ramen saigon" est=1 new=1
 }
 
 // ExampleEnrich appends a hidden attribute to the covered local records.

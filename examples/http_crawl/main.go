@@ -16,6 +16,7 @@ import (
 
 	"smartcrawl"
 	"smartcrawl/internal/dataset"
+	"smartcrawl/internal/deepweb"
 	"smartcrawl/internal/deepweb/httpapi"
 )
 
@@ -35,7 +36,7 @@ func main() {
 		K:          50,
 		RankColumn: in.RankColumn,
 	})
-	limiter := httpapi.NewTokenBucket(50, 200)
+	limiter := deepweb.NewBucket(50, 200)
 	server := httptest.NewServer(httpapi.NewServer(db, tk, limiter).Handler())
 	defer server.Close()
 	fmt.Printf("hidden database serving %d records at %s\n", in.Hidden.Len(), server.URL)

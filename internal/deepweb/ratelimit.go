@@ -16,13 +16,14 @@ import (
 // it, and the bucket refills while the backoff waits.
 var ErrRateLimited = errors.New("deepweb: rate limited")
 
-// Bucket is a thread-safe token-bucket rate limiter for client-side
-// pacing: capacity tokens, refilled continuously at a per-second rate.
-// Unlike the server-side httpapi.TokenBucket (which models the remote
-// quota), Bucket sits in front of a Searcher so a concurrent crawl
-// pipeline never exceeds the polite request rate in the first place —
-// fanning a batch over N workers multiplies instantaneous load by N, and
-// real APIs ban clients for that.
+// Bucket is a thread-safe token-bucket rate limiter: capacity tokens,
+// refilled continuously at a per-second rate; Allow never blocks. It is
+// the one limiter of the codebase. Client-side, Limited puts it in front
+// of a Searcher so a concurrent crawl pipeline never exceeds the polite
+// request rate in the first place — fanning a batch over N workers
+// multiplies instantaneous load by N, and real APIs ban clients for
+// that. Server-side, httpapi.Server answers 429 with it (the remote
+// quota), and crawld paces each tenant's job submissions with it.
 type Bucket struct {
 	mu       sync.Mutex
 	tokens   float64

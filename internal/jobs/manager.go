@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"smartcrawl/internal/crawler"
-	"smartcrawl/internal/deepweb/httpapi"
+	"smartcrawl/internal/deepweb"
 	"smartcrawl/internal/durable"
 	"smartcrawl/internal/engine"
 	"smartcrawl/internal/obs"
@@ -82,7 +82,7 @@ var shedReasons = []string{"budget", "disk", "draining", "queue", "rate"}
 // tenant is one tenant's admission state.
 type tenant struct {
 	reserved int // committed budget: reservations of live jobs + settled charges
-	bucket   *httpapi.TokenBucket
+	bucket   *deepweb.Bucket
 }
 
 // job is the manager's in-memory view of one job: the persisted record
@@ -266,7 +266,7 @@ func (m *Manager) tenantLocked(name string) *tenant {
 			if burst <= 0 {
 				burst = 1
 			}
-			t.bucket = httpapi.NewTokenBucket(burst, m.cfg.TenantRate)
+			t.bucket = deepweb.NewBucket(burst, m.cfg.TenantRate)
 		}
 		m.tenants[name] = t
 	}

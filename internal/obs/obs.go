@@ -10,9 +10,10 @@
 // Everything hangs off *Obs, a nil-safe sink: every method is a no-op on a
 // nil receiver, so instrumented code calls hooks unconditionally and the
 // disabled path costs a single branch. The package depends only on the
-// standard library and must never perturb crawl results — hooks observe,
-// they do not decide (regression-tested: tracing on vs off produces
-// byte-identical issued-query logs).
+// standard library and the trace schema (package trace), and must never
+// perturb crawl results — hooks observe, they do not decide
+// (regression-tested: tracing on vs off produces byte-identical
+// issued-query logs).
 package obs
 
 import (
@@ -23,6 +24,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"smartcrawl/internal/trace"
 )
 
 // Counter is a monotonically increasing atomic counter. The zero value is
@@ -261,11 +264,8 @@ func (o *Obs) QueryIface(iface, q string, est float64, resultSize, newCovered, c
 	o.BenefitReal.Add(float64(newCovered))
 	o.BenefitAbsErr.Add(math.Abs(est - float64(newCovered)))
 	if t := o.tracer.Load(); t != nil {
-		if iface == "" {
-			t.query(q, est, resultSize, newCovered, cumCovered, solid)
-		} else {
-			t.queryIface(iface, q, est, resultSize, newCovered, cumCovered, solid)
-		}
+		t.emit(trace.EventQuery, &trace.Query{Query: q, EstBenefit: est, ResultSize: resultSize,
+			NewCovered: newCovered, CumCovered: cumCovered, Solid: solid, Iface: iface})
 	}
 }
 
@@ -278,7 +278,7 @@ func (o *Obs) Alloc(iface string, benefit float64, budgetLeft int) {
 	}
 	o.Allocs.Inc()
 	if t := o.tracer.Load(); t != nil {
-		t.alloc(iface, benefit, budgetLeft)
+		t.emit(trace.EventAlloc, &trace.Alloc{Iface: iface, EstBenefit: benefit, BudgetLeft: budgetLeft})
 	}
 }
 
@@ -294,7 +294,7 @@ func (o *Obs) SearchServed(q string, resultSize int, solid bool) {
 		o.SolidQueries.Inc()
 	}
 	if t := o.tracer.Load(); t != nil {
-		t.query(q, 0, resultSize, 0, 0, solid)
+		t.emit(trace.EventQuery, &trace.Query{Query: q, ResultSize: resultSize, Solid: solid})
 	}
 }
 
@@ -307,7 +307,7 @@ func (o *Obs) Round(n, budgetLeft int) {
 	o.Rounds.Inc()
 	o.Dispatched.Add(int64(n))
 	if t := o.tracer.Load(); t != nil {
-		t.round(n, budgetLeft)
+		t.emit(trace.EventRound, &trace.Round{Size: n, BudgetLeft: budgetLeft})
 	}
 }
 
@@ -333,12 +333,8 @@ func (o *Obs) Retry(q string, attempt int, wait time.Duration, cause error) {
 	if attempt == 1 {
 		o.RetriedCalls.Inc()
 	}
-	msg := ""
-	if cause != nil {
-		msg = cause.Error()
-	}
 	if t := o.tracer.Load(); t != nil {
-		t.retry(q, attempt, wait, msg)
+		t.emit(trace.EventRetry, &trace.Retry{Query: q, Attempt: attempt, WaitMs: wait.Milliseconds(), Err: errMsg(cause)})
 	}
 }
 
@@ -351,7 +347,7 @@ func (o *Obs) RateLimitDenied(q string, tokens float64) {
 	o.RateLimited.Inc()
 	o.BucketTokens.Set(int64(tokens * 1000))
 	if t := o.tracer.Load(); t != nil {
-		t.rateLimit(q, tokens)
+		t.emit(trace.EventRateLimit, &trace.RateLimit{Query: q, Tokens: tokens})
 	}
 }
 
@@ -369,7 +365,7 @@ func (o *Obs) FaultInjected(q, class string, attempt int) {
 	o.faultBy[class]++
 	o.faultMu.Unlock()
 	if t := o.tracer.Load(); t != nil {
-		t.fault(q, class, attempt)
+		t.emit(trace.EventFault, &trace.Fault{Query: q, Class: class, Attempt: attempt})
 	}
 }
 
@@ -405,7 +401,7 @@ func (o *Obs) BreakerTransition(from, to string, failures int) {
 		o.BreakerState.Set(2)
 	}
 	if t := o.tracer.Load(); t != nil {
-		t.breaker(from, to, failures)
+		t.emit(trace.EventBreaker, &trace.Breaker{From: from, To: to, Failures: failures})
 	}
 }
 
@@ -417,7 +413,7 @@ func (o *Obs) Requeued(q string, attempt int, cause error) {
 	}
 	o.Requeues.Inc()
 	if t := o.tracer.Load(); t != nil {
-		t.requeue(q, attempt, errMsg(cause))
+		t.emit(trace.EventRequeue, &trace.Requeue{Query: q, Attempt: attempt, Err: errMsg(cause)})
 	}
 }
 
@@ -429,7 +425,7 @@ func (o *Obs) Forfeited(q string, attempts int, cause error) {
 	}
 	o.Forfeits.Inc()
 	if t := o.tracer.Load(); t != nil {
-		t.forfeit(q, attempts, errMsg(cause))
+		t.emit(trace.EventForfeit, &trace.Forfeit{Query: q, Attempts: attempts, Err: errMsg(cause)})
 	}
 }
 
@@ -443,7 +439,7 @@ func (o *Obs) DeadlineForfeited(q string, attempts int) {
 	}
 	o.DeadlineForfeits.Inc()
 	if t := o.tracer.Load(); t != nil {
-		t.deadlineForfeit(q, attempts)
+		t.emit(trace.EventDeadlineForfeit, &trace.DeadlineForfeit{Query: q, Attempt: attempts})
 	}
 }
 
@@ -466,7 +462,7 @@ func (o *Obs) Health(iface string, score float64, probe bool) {
 		return
 	}
 	if t := o.tracer.Load(); t != nil {
-		t.health(iface, score, probe)
+		t.emit(trace.EventHealth, &trace.Health{Iface: iface, Score: score, Probe: probe})
 	}
 }
 
@@ -505,7 +501,7 @@ func (o *Obs) Checkpoint(path string, covered, queries int) {
 	}
 	o.Checkpoints.Inc()
 	if t := o.tracer.Load(); t != nil {
-		t.checkpoint(path, covered, queries)
+		t.emit(trace.EventCheckpoint, &trace.Checkpoint{Path: path, Covered: covered, Queries: queries})
 	}
 }
 
@@ -519,7 +515,7 @@ func (o *Obs) WalAppend(kind string, walSeq uint64, bytes int) {
 	o.WalAppends.Inc()
 	o.WalBytes.Add(int64(bytes))
 	if t := o.tracer.Load(); t != nil {
-		t.walAppend(kind, walSeq, bytes)
+		t.emit(trace.EventWalAppend, &trace.WalAppend{Kind: kind, WalSeq: walSeq, Bytes: bytes})
 	}
 }
 
@@ -542,7 +538,8 @@ func (o *Obs) Recovered(path string, records, covered, queries int, walSeq uint6
 	}
 	o.Recoveries.Inc()
 	if t := o.tracer.Load(); t != nil {
-		t.recovered(path, records, covered, queries, walSeq, torn)
+		t.emit(trace.EventRecovered, &trace.Recovered{Path: path, Records: records, Covered: covered,
+			Queries: queries, WalSeq: walSeq, Torn: torn})
 	}
 }
 
@@ -587,7 +584,7 @@ func (o *Obs) Phase(name string) func() {
 		o.phaseDur[name] += d
 		o.mu.Unlock()
 		if t := o.tracer.Load(); t != nil {
-			t.phase(name, d)
+			t.emit(trace.EventPhase, &trace.Phase{Phase: name, DurMs: d.Milliseconds()})
 		}
 	}
 }

@@ -1,19 +1,20 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"io"
+	"strconv"
 	"sync"
 	"time"
 )
 
 // Tracer emits structured session events as JSON Lines: one event per
-// line, fields in a fixed order (struct declaration order, which
-// encoding/json preserves), every line independently parseable. A trace
-// is the replayable story of a crawl session — which query was selected
-// with what estimated benefit, what it returned, what it newly covered,
-// plus retry/backoff, rate-limit, checkpoint, phase-timing, and the
+// line, every line independently parseable. A line is the envelope (seq,
+// t_ms, type) followed by the fields of the event's payload struct from
+// package trace, which declares the schema. A trace is the replayable
+// story of a crawl session — which query was selected with what
+// estimated benefit, what it returned, what it newly covered, plus
+// retry/backoff, rate-limit, checkpoint, phase-timing, and the
 // resilience events (fault, breaker, requeue, forfeit) of a degraded
 // crawl. Every event type and field is documented in docs/TRACE_SCHEMA.md.
 //
@@ -65,363 +66,32 @@ func (t *Tracer) Flush() error {
 	return t.err
 }
 
-// Event types, the `type` field of every trace line. The full schema —
-// per-type field tables with a sample line each — is documented in
-// docs/TRACE_SCHEMA.md; keep the two in sync when adding event types.
-const (
-	EventQuery      = "query"
-	EventRound      = "round"
-	EventRetry      = "retry"
-	EventRateLimit  = "rate_limit"
-	EventCheckpoint = "checkpoint"
-	EventPhase      = "phase"
-	EventFault      = "fault"
-	EventBreaker    = "breaker"
-	EventRequeue    = "requeue"
-	EventForfeit    = "forfeit"
-	EventWalAppend  = "wal_append"
-	EventRecovered  = "recovered"
-	EventAlloc      = "alloc"
-	// EventDeadlineForfeit accompanies a forfeit caused by the crawl
-	// deadline: the generic forfeit event is still emitted for the same
-	// query, this one carries the cause attribution.
-	EventDeadlineForfeit = "deadline_forfeit"
-	// EventHealth traces an interface health-score movement or (with
-	// probe=true) a recovery-probe allocation of a federated crawl.
-	EventHealth = "health"
-)
-
-// Event is the union wire format of one trace line, for consumers reading
-// traces back (ParseEvents). Producers emit per-type structs so that each
-// event carries exactly its own fields, always in the same order.
-type Event struct {
-	Seq        uint64  `json:"seq"`
-	TMs        int64   `json:"t_ms"`
-	Type       string  `json:"type"`
-	Query      string  `json:"query,omitempty"`
-	EstBenefit float64 `json:"est_benefit,omitempty"`
-	ResultSize int     `json:"result_size,omitempty"`
-	NewCovered int     `json:"new_covered,omitempty"`
-	CumCovered int     `json:"cum_covered,omitempty"`
-	Solid      bool    `json:"solid,omitempty"`
-	Size       int     `json:"size,omitempty"`
-	BudgetLeft int     `json:"budget_left,omitempty"`
-	Attempt    int     `json:"attempt,omitempty"`
-	WaitMs     int64   `json:"wait_ms,omitempty"`
-	Tokens     float64 `json:"tokens,omitempty"`
-	Err        string  `json:"err,omitempty"`
-	Phase      string  `json:"phase,omitempty"`
-	DurMs      int64   `json:"dur_ms,omitempty"`
-	Path       string  `json:"path,omitempty"`
-	Covered    int     `json:"covered,omitempty"`
-	Queries    int     `json:"queries,omitempty"`
-	Class      string  `json:"class,omitempty"`
-	From       string  `json:"from,omitempty"`
-	To         string  `json:"to,omitempty"`
-	Failures   int     `json:"failures,omitempty"`
-	Kind       string  `json:"kind,omitempty"`
-	WalSeq     uint64  `json:"wal_seq,omitempty"`
-	Bytes      int     `json:"bytes,omitempty"`
-	Records    int     `json:"records,omitempty"`
-	Torn       bool    `json:"torn,omitempty"`
-	Iface      string  `json:"iface,omitempty"`
-	Score      float64 `json:"score,omitempty"`
-	Probe      bool    `json:"probe,omitempty"`
-}
-
-// ParseEvents decodes a JSONL trace back into events — the consumer side
-// of the schema, used by tests and analysis tooling.
-func ParseEvents(r io.Reader) ([]Event, error) {
-	var events []Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal(line, &e); err != nil {
-			return events, err
-		}
-		events = append(events, e)
-	}
-	return events, sc.Err()
-}
-
-// Per-type wire structs. Field order here IS the schema: encoding/json
-// marshals struct fields in declaration order, and the golden-file test
-// pins these bytes.
-
-type queryEvent struct {
-	Seq        uint64  `json:"seq"`
-	TMs        int64   `json:"t_ms"`
-	Type       string  `json:"type"`
-	Query      string  `json:"query"`
-	EstBenefit float64 `json:"est_benefit"`
-	ResultSize int     `json:"result_size"`
-	NewCovered int     `json:"new_covered"`
-	CumCovered int     `json:"cum_covered"`
-	Solid      bool    `json:"solid"`
-}
-
-type roundEvent struct {
-	Seq        uint64 `json:"seq"`
-	TMs        int64  `json:"t_ms"`
-	Type       string `json:"type"`
-	Size       int    `json:"size"`
-	BudgetLeft int    `json:"budget_left"`
-}
-
-type retryEvent struct {
-	Seq     uint64 `json:"seq"`
-	TMs     int64  `json:"t_ms"`
-	Type    string `json:"type"`
-	Query   string `json:"query"`
-	Attempt int    `json:"attempt"`
-	WaitMs  int64  `json:"wait_ms"`
-	Err     string `json:"err,omitempty"`
-}
-
-type rateLimitEvent struct {
-	Seq    uint64  `json:"seq"`
-	TMs    int64   `json:"t_ms"`
-	Type   string  `json:"type"`
-	Query  string  `json:"query"`
-	Tokens float64 `json:"tokens"`
-}
-
-type checkpointEvent struct {
-	Seq     uint64 `json:"seq"`
-	TMs     int64  `json:"t_ms"`
-	Type    string `json:"type"`
-	Path    string `json:"path"`
-	Covered int    `json:"covered"`
-	Queries int    `json:"queries"`
-}
-
-type phaseEvent struct {
-	Seq   uint64 `json:"seq"`
-	TMs   int64  `json:"t_ms"`
-	Type  string `json:"type"`
-	Phase string `json:"phase"`
-	DurMs int64  `json:"dur_ms"`
-}
-
-type faultEvent struct {
-	Seq     uint64 `json:"seq"`
-	TMs     int64  `json:"t_ms"`
-	Type    string `json:"type"`
-	Query   string `json:"query"`
-	Class   string `json:"class"`
-	Attempt int    `json:"attempt"`
-}
-
-type breakerEvent struct {
-	Seq      uint64 `json:"seq"`
-	TMs      int64  `json:"t_ms"`
-	Type     string `json:"type"`
-	From     string `json:"from"`
-	To       string `json:"to"`
-	Failures int    `json:"failures"`
-}
-
-// requeueEvent doubles as the forfeit event: same shape, different type
-// tag (a forfeit's Attempt is the total dispatch count it burned).
-type requeueEvent struct {
-	Seq     uint64 `json:"seq"`
-	TMs     int64  `json:"t_ms"`
-	Type    string `json:"type"`
-	Query   string `json:"query"`
-	Attempt int    `json:"attempt"`
-	Err     string `json:"err,omitempty"`
-}
-
-// walAppendEvent traces one record appended to the write-ahead journal.
-type walAppendEvent struct {
-	Seq    uint64 `json:"seq"`
-	TMs    int64  `json:"t_ms"`
-	Type   string `json:"type"`
-	Kind   string `json:"kind"`
-	WalSeq uint64 `json:"wal_seq"`
-	Bytes  int    `json:"bytes"`
-}
-
-// recoveredEvent traces one crash recovery: how much state came back from
-// the snapshot + journal, and whether a torn tail record was discarded.
-type recoveredEvent struct {
-	Seq     uint64 `json:"seq"`
-	TMs     int64  `json:"t_ms"`
-	Type    string `json:"type"`
-	Path    string `json:"path"`
-	Records int    `json:"records"`
-	Covered int    `json:"covered"`
-	Queries int    `json:"queries"`
-	WalSeq  uint64 `json:"wal_seq"`
-	Torn    bool   `json:"torn"`
-}
-
-// queryIfaceEvent is queryEvent tagged with the issuing interface of a
-// federated crawl; untagged single-interface traces keep the queryEvent
-// shape byte-for-byte.
-type queryIfaceEvent struct {
-	Seq        uint64  `json:"seq"`
-	TMs        int64   `json:"t_ms"`
-	Type       string  `json:"type"`
-	Query      string  `json:"query"`
-	EstBenefit float64 `json:"est_benefit"`
-	ResultSize int     `json:"result_size"`
-	NewCovered int     `json:"new_covered"`
-	CumCovered int     `json:"cum_covered"`
-	Solid      bool    `json:"solid"`
-	Iface      string  `json:"iface"`
-}
-
-// allocEvent traces one federated budget allocation: which interface won
-// the round and under what top estimated benefit.
-type allocEvent struct {
-	Seq        uint64  `json:"seq"`
-	TMs        int64   `json:"t_ms"`
-	Type       string  `json:"type"`
-	Iface      string  `json:"iface"`
-	EstBenefit float64 `json:"est_benefit"`
-	BudgetLeft int     `json:"budget_left"`
-}
-
-// deadlineForfeitEvent attributes a forfeit to the crawl deadline; the
-// Attempt field is the total dispatch count the query burned, matching the
-// generic forfeit event emitted alongside it.
-type deadlineForfeitEvent struct {
-	Seq     uint64 `json:"seq"`
-	TMs     int64  `json:"t_ms"`
-	Type    string `json:"type"`
-	Query   string `json:"query"`
-	Attempt int    `json:"attempt"`
-}
-
-// healthEvent traces one interface health-score movement (score in [0,1])
-// or, with Probe set, a recovery-probe round granted while degraded.
-type healthEvent struct {
-	Seq   uint64  `json:"seq"`
-	TMs   int64   `json:"t_ms"`
-	Type  string  `json:"type"`
-	Iface string  `json:"iface"`
-	Score float64 `json:"score"`
-	Probe bool    `json:"probe,omitempty"`
-}
-
-func (t *Tracer) query(q string, est float64, resultSize, newCovered, cumCovered int, solid bool) {
-	t.emit(func(seq uint64, tms int64) any {
-		return queryEvent{seq, tms, EventQuery, q, est, resultSize, newCovered, cumCovered, solid}
-	})
-}
-
-func (t *Tracer) queryIface(iface, q string, est float64, resultSize, newCovered, cumCovered int, solid bool) {
-	t.emit(func(seq uint64, tms int64) any {
-		return queryIfaceEvent{seq, tms, EventQuery, q, est, resultSize, newCovered, cumCovered, solid, iface}
-	})
-}
-
-func (t *Tracer) alloc(iface string, benefit float64, budgetLeft int) {
-	t.emit(func(seq uint64, tms int64) any {
-		return allocEvent{seq, tms, EventAlloc, iface, benefit, budgetLeft}
-	})
-}
-
-func (t *Tracer) round(size, budgetLeft int) {
-	t.emit(func(seq uint64, tms int64) any {
-		return roundEvent{seq, tms, EventRound, size, budgetLeft}
-	})
-}
-
-func (t *Tracer) retry(q string, attempt int, wait time.Duration, errMsg string) {
-	t.emit(func(seq uint64, tms int64) any {
-		return retryEvent{seq, tms, EventRetry, q, attempt, wait.Milliseconds(), errMsg}
-	})
-}
-
-func (t *Tracer) rateLimit(q string, tokens float64) {
-	t.emit(func(seq uint64, tms int64) any {
-		return rateLimitEvent{seq, tms, EventRateLimit, q, tokens}
-	})
-}
-
-func (t *Tracer) checkpoint(path string, covered, queries int) {
-	t.emit(func(seq uint64, tms int64) any {
-		return checkpointEvent{seq, tms, EventCheckpoint, path, covered, queries}
-	})
-}
-
-func (t *Tracer) phase(name string, d time.Duration) {
-	t.emit(func(seq uint64, tms int64) any {
-		return phaseEvent{seq, tms, EventPhase, name, d.Milliseconds()}
-	})
-}
-
-func (t *Tracer) fault(q, class string, attempt int) {
-	t.emit(func(seq uint64, tms int64) any {
-		return faultEvent{seq, tms, EventFault, q, class, attempt}
-	})
-}
-
-func (t *Tracer) breaker(from, to string, failures int) {
-	t.emit(func(seq uint64, tms int64) any {
-		return breakerEvent{seq, tms, EventBreaker, from, to, failures}
-	})
-}
-
-func (t *Tracer) requeue(q string, attempt int, errMsg string) {
-	t.emit(func(seq uint64, tms int64) any {
-		return requeueEvent{seq, tms, EventRequeue, q, attempt, errMsg}
-	})
-}
-
-func (t *Tracer) forfeit(q string, attempts int, errMsg string) {
-	t.emit(func(seq uint64, tms int64) any {
-		return requeueEvent{seq, tms, EventForfeit, q, attempts, errMsg}
-	})
-}
-
-func (t *Tracer) deadlineForfeit(q string, attempts int) {
-	t.emit(func(seq uint64, tms int64) any {
-		return deadlineForfeitEvent{seq, tms, EventDeadlineForfeit, q, attempts}
-	})
-}
-
-func (t *Tracer) health(iface string, score float64, probe bool) {
-	t.emit(func(seq uint64, tms int64) any {
-		return healthEvent{seq, tms, EventHealth, iface, score, probe}
-	})
-}
-
-func (t *Tracer) walAppend(kind string, walSeq uint64, bytes int) {
-	t.emit(func(seq uint64, tms int64) any {
-		return walAppendEvent{seq, tms, EventWalAppend, kind, walSeq, bytes}
-	})
-}
-
-func (t *Tracer) recovered(path string, records, covered, queries int, walSeq uint64, torn bool) {
-	t.emit(func(seq uint64, tms int64) any {
-		return recoveredEvent{seq, tms, EventRecovered, path, records, covered, queries, walSeq, torn}
-	})
-}
-
-// emit assigns the sequence number and timestamp under the lock, so trace
-// lines are totally ordered even when workers race.
-func (t *Tracer) emit(build func(seq uint64, tms int64) any) {
+// emit writes one event: the envelope, whose sequence number and
+// timestamp are assigned under the lock so lines are totally ordered even
+// when workers race, then the payload's fields in declaration order. The
+// payload is one of the trace package's event structs; each has at least
+// one field that is never omitted.
+func (t *Tracer) emit(typ string, payload any) {
+	p, err := json.Marshal(payload)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.err != nil {
 		return
 	}
-	e := build(t.seq, t.now().UnixMilli())
-	t.seq++
-	b, err := json.Marshal(e)
 	if err != nil {
 		t.err = err
 		return
 	}
+	b := append(make([]byte, 0, len(p)+64), `{"seq":`...)
+	b = strconv.AppendUint(b, t.seq, 10)
+	b = append(b, `,"t_ms":`...)
+	b = strconv.AppendInt(b, t.now().UnixMilli(), 10)
+	b = append(b, `,"type":"`...)
+	b = append(b, typ...)
+	b = append(b, `",`...)
+	b = append(b, p[1:]...)
 	b = append(b, '\n')
+	t.seq++
 	if _, err := t.w.Write(b); err != nil {
 		t.err = err
 	}

@@ -7,8 +7,11 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
+
+	"smartcrawl/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite golden trace files")
@@ -35,6 +38,21 @@ func emitOneOfEach() *bytes.Buffer {
 	o.BreakerTransition("closed", "open", 5)
 	o.Requeued("rare dish", 1, errors.New("injected timeout"))
 	o.Forfeited("rare dish", 3, errors.New("injected timeout"))
+
+	// The federated, resilience and durability types, the tagged and
+	// server-side query shapes, both health shapes, nil causes (err
+	// omitted), and strings that need JSON escaping.
+	o.Alloc("acm", 3.25, 47)
+	o.QueryIface("acm", "caf\u00e9 <&>", 1.25, 10, 2, 5, true)
+	o.SearchServed("thai noodle", 50, true)
+	o.DeadlineForfeited("rare dish", 3)
+	o.Health("acm", 0.75, false)
+	o.Health("acm", 0.5, true)
+	o.Retry("rare dish", 2, 0, nil)
+	o.Requeued("rare dish", 2, nil)
+	o.Forfeited("rare dish", 4, nil)
+	o.WalAppend("step", 7, 64)
+	o.Recovered("C:\\runs\\\"q\"\tcrawl.wal", 12, 17, 2, 9, true)
 	return &buf
 }
 
@@ -63,7 +81,7 @@ func TestGoldenTrace(t *testing.T) {
 }
 
 // TestTraceRoundTrip checks every emitted line is independently parseable
-// by encoding/json and survives ParseEvents with fields intact.
+// by encoding/json and survives trace.Parse with fields intact.
 func TestTraceRoundTrip(t *testing.T) {
 	buf := emitOneOfEach()
 
@@ -75,12 +93,15 @@ func TestTraceRoundTrip(t *testing.T) {
 		}
 	}
 
-	events, err := ParseEvents(bytes.NewReader(buf.Bytes()))
+	events, err := trace.Parse(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantTypes := []string{EventPhase, EventRound, EventRetry, EventRateLimit, EventQuery, EventCheckpoint,
-		EventFault, EventBreaker, EventRequeue, EventForfeit}
+	wantTypes := []string{trace.EventPhase, trace.EventRound, trace.EventRetry, trace.EventRateLimit,
+		trace.EventQuery, trace.EventCheckpoint, trace.EventFault, trace.EventBreaker,
+		trace.EventRequeue, trace.EventForfeit, trace.EventAlloc, trace.EventQuery, trace.EventQuery,
+		trace.EventDeadlineForfeit, trace.EventHealth, trace.EventHealth, trace.EventRetry,
+		trace.EventRequeue, trace.EventForfeit, trace.EventWalAppend, trace.EventRecovered}
 	if len(events) != len(wantTypes) {
 		t.Fatalf("got %d events, want %d", len(events), len(wantTypes))
 	}
@@ -92,26 +113,21 @@ func TestTraceRoundTrip(t *testing.T) {
 			t.Errorf("event %d seq = %d, want %d", i, e.Seq, i)
 		}
 	}
-	q := events[4]
-	if q.Query != "thai noodle" || q.EstBenefit != 3.5 || q.ResultSize != 50 ||
-		q.NewCovered != 3 || q.CumCovered != 3 || q.Solid {
-		t.Errorf("query event fields lost in round trip: %+v", q)
+	want := map[int]any{
+		2:  &trace.Retry{Query: "thai noodle", Attempt: 1, WaitMs: 200, Err: "http 500"},
+		4:  &trace.Query{Query: "thai noodle", EstBenefit: 3.5, ResultSize: 50, NewCovered: 3, CumCovered: 3},
+		6:  &trace.Fault{Query: "rare dish", Class: "timeout", Attempt: 1},
+		7:  &trace.Breaker{From: "closed", To: "open", Failures: 5},
+		9:  &trace.Forfeit{Query: "rare dish", Attempts: 3, Err: "injected timeout"},
+		11: &trace.Query{Query: "caf\u00e9 <&>", EstBenefit: 1.25, ResultSize: 10, NewCovered: 2, CumCovered: 5, Solid: true, Iface: "acm"},
+		15: &trace.Health{Iface: "acm", Score: 0.5, Probe: true},
+		18: &trace.Forfeit{Query: "rare dish", Attempts: 4},
+		20: &trace.Recovered{Path: "C:\\runs\\\"q\"\tcrawl.wal", Records: 12, Covered: 17, Queries: 2, WalSeq: 9, Torn: true},
 	}
-	r := events[2]
-	if r.Attempt != 1 || r.WaitMs != 200 || r.Err != "http 500" {
-		t.Errorf("retry event fields lost in round trip: %+v", r)
-	}
-	f := events[6]
-	if f.Query != "rare dish" || f.Class != "timeout" || f.Attempt != 1 {
-		t.Errorf("fault event fields lost in round trip: %+v", f)
-	}
-	b := events[7]
-	if b.From != "closed" || b.To != "open" || b.Failures != 5 {
-		t.Errorf("breaker event fields lost in round trip: %+v", b)
-	}
-	ff := events[9]
-	if ff.Query != "rare dish" || ff.Attempt != 3 || ff.Err != "injected timeout" {
-		t.Errorf("forfeit event fields lost in round trip: %+v", ff)
+	for i, w := range want {
+		if !reflect.DeepEqual(events[i].Data, w) {
+			t.Errorf("event %d payload = %+v, want %+v", i, events[i].Data, w)
+		}
 	}
 }
 

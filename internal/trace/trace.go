@@ -1,16 +1,19 @@
-// Package trace loads JSONL session traces (docs/TRACE_SCHEMA.md) into
-// typed records and computes the analyses behind cmd/tracetool: summary
-// statistics, round-by-round replay, event filtering, top-query
-// rankings, and two-trace divergence diffs.
+// Package trace is the session-trace schema (docs/TRACE_SCHEMA.md) and
+// its analyses. Each event type is declared here exactly once, as a
+// payload struct whose json tags are its wire names and whose field order
+// is its wire order: obs.Tracer writes these structs and Parse reads them
+// back, so producer and consumer cannot drift apart. On top of the parser
+// sit the analyses behind cmd/tracetool: summary statistics,
+// round-by-round replay, event filtering, top-query rankings, and
+// two-trace divergence diffs.
 //
-// The parser accepts every event type the obs Tracer emits — a
-// round-trip test drives all fifteen through the public obs hooks and
-// a schema test diffs KnownTypes against the doc's headings, so the
-// tracer, the schema document, and this parser cannot drift apart
-// silently. Unknown event types survive parsing as Unknown records
-// (forward compatibility: an old tracetool can still summarize a newer
-// trace), and a torn final line — the normal tail of a crash-interrupted
-// session — returns the events before it alongside the error.
+// A golden test in internal/obs pins the bytes of every event type, a
+// round-trip test drives all fifteen through the public obs hooks, and a
+// schema test diffs KnownTypes against the doc's headings. Unknown event
+// types survive parsing as Unknown records (forward compatibility: an old
+// tracetool can still summarize a newer trace), and a torn final line —
+// the normal tail of a crash-interrupted session — returns the events
+// before it alongside the error.
 package trace
 
 import (
@@ -21,131 +24,181 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"smartcrawl/internal/obs"
 )
 
-// Meta is the envelope every trace event carries.
-type Meta struct {
-	Seq  uint64 // per-session ordinal, dense from 0
-	TMs  int64  // Unix milliseconds at emit
-	Type string // event type tag
+// Event types, the `type` field of every trace line. docs/TRACE_SCHEMA.md
+// documents each with a field table and a sample line; keep the two in
+// sync when adding one (TestKnownTypesMatchSchemaDoc checks).
+const (
+	EventQuery      = "query"
+	EventRound      = "round"
+	EventAlloc      = "alloc"
+	EventRetry      = "retry"
+	EventRateLimit  = "rate_limit"
+	EventCheckpoint = "checkpoint"
+	EventPhase      = "phase"
+	EventFault      = "fault"
+	EventBreaker    = "breaker"
+	EventRequeue    = "requeue"
+	EventForfeit    = "forfeit"
+	// EventDeadlineForfeit accompanies a forfeit caused by the crawl
+	// deadline: the generic forfeit event is still emitted for the same
+	// query, this one carries the cause attribution.
+	EventDeadlineForfeit = "deadline_forfeit"
+	// EventHealth traces an interface health-score movement or (with
+	// probe=true) a recovery-probe allocation of a federated crawl.
+	EventHealth    = "health"
+	EventWalAppend = "wal_append"
+	EventRecovered = "recovered"
+)
+
+// schema lists every event type in documented order with a constructor
+// for its payload.
+var schema = [...]struct {
+	typ     string
+	payload func() any
+}{
+	{EventQuery, func() any { return new(Query) }},
+	{EventRound, func() any { return new(Round) }},
+	{EventAlloc, func() any { return new(Alloc) }},
+	{EventRetry, func() any { return new(Retry) }},
+	{EventRateLimit, func() any { return new(RateLimit) }},
+	{EventCheckpoint, func() any { return new(Checkpoint) }},
+	{EventPhase, func() any { return new(Phase) }},
+	{EventFault, func() any { return new(Fault) }},
+	{EventBreaker, func() any { return new(Breaker) }},
+	{EventRequeue, func() any { return new(Requeue) }},
+	{EventForfeit, func() any { return new(Forfeit) }},
+	{EventDeadlineForfeit, func() any { return new(DeadlineForfeit) }},
+	{EventHealth, func() any { return new(Health) }},
+	{EventWalAppend, func() any { return new(WalAppend) }},
+	{EventRecovered, func() any { return new(Recovered) }},
 }
 
-// Typed payloads, one per documented event type. Field names follow the
-// schema's wire names.
+// Meta is the envelope every trace line opens with, in this order.
+type Meta struct {
+	Seq  uint64 `json:"seq"`  // per-session ordinal, dense from 0
+	TMs  int64  `json:"t_ms"` // Unix milliseconds at emit
+	Type string `json:"type"` // event type tag
+}
 
-// Query is one issued (and absorbed) query. Iface is empty on
-// single-interface traces.
+// Payloads, one per event type. They follow the envelope on the wire.
+
+// Query is one issued (and absorbed) query; the hiddenserver emits it
+// per served search with zero benefit fields. Iface is empty, and
+// omitted, on single-interface traces.
 type Query struct {
-	Query      string
-	EstBenefit float64
-	ResultSize int
-	NewCovered int
-	CumCovered int
-	Solid      bool
-	Iface      string
+	Query      string  `json:"query"`
+	EstBenefit float64 `json:"est_benefit"`
+	ResultSize int     `json:"result_size"`
+	NewCovered int     `json:"new_covered"`
+	CumCovered int     `json:"cum_covered"`
+	Solid      bool    `json:"solid"`
+	Iface      string  `json:"iface,omitempty"`
 }
 
 // Round is one selection-round dispatch.
 type Round struct {
-	Size       int
-	BudgetLeft int // -1 = unlimited
+	Size       int `json:"size"`
+	BudgetLeft int `json:"budget_left"` // -1 = unlimited
 }
 
-// Alloc is one federated budget allocation.
+// Alloc is one federated budget allocation: which interface won the
+// round and under what top estimated benefit.
 type Alloc struct {
-	Iface      string
-	EstBenefit float64
-	BudgetLeft int
+	Iface      string  `json:"iface"`
+	EstBenefit float64 `json:"est_benefit"`
+	BudgetLeft int     `json:"budget_left"`
 }
 
-// Retry is one backoff re-attempt.
+// Retry is one backoff re-attempt. Err is omitted when the cause is nil.
 type Retry struct {
-	Query   string
-	Attempt int
-	WaitMs  int64
-	Err     string
+	Query   string `json:"query"`
+	Attempt int    `json:"attempt"`
+	WaitMs  int64  `json:"wait_ms"`
+	Err     string `json:"err,omitempty"`
 }
 
 // RateLimit is one client-side token-bucket denial.
 type RateLimit struct {
-	Query  string
-	Tokens float64
+	Query  string  `json:"query"`
+	Tokens float64 `json:"tokens"`
 }
 
 // Checkpoint is one checkpoint write.
 type Checkpoint struct {
-	Path    string
-	Covered int
-	Queries int
+	Path    string `json:"path"`
+	Covered int    `json:"covered"`
+	Queries int    `json:"queries"`
 }
 
 // Phase is one completed lifecycle phase.
 type Phase struct {
-	Phase string
-	DurMs int64
+	Phase string `json:"phase"`
+	DurMs int64  `json:"dur_ms"`
 }
 
 // Fault is one injected fault.
 type Fault struct {
-	Query   string
-	Class   string
-	Attempt int
+	Query   string `json:"query"`
+	Class   string `json:"class"`
+	Attempt int    `json:"attempt"`
 }
 
 // Breaker is one circuit-breaker transition.
 type Breaker struct {
-	From     string
-	To       string
-	Failures int
+	From     string `json:"from"`
+	To       string `json:"to"`
+	Failures int    `json:"failures"`
 }
 
 // Requeue is one failed selection pushed back into the pool.
 type Requeue struct {
-	Query   string
-	Attempt int
-	Err     string
+	Query   string `json:"query"`
+	Attempt int    `json:"attempt"`
+	Err     string `json:"err,omitempty"`
 }
 
-// Forfeit is one selection given up after its attempt cap.
+// Forfeit is one selection given up after its attempt cap; Attempts is
+// the total dispatch count it burned.
 type Forfeit struct {
-	Query    string
-	Attempts int
-	Err      string
+	Query    string `json:"query"`
+	Attempts int    `json:"attempt"`
+	Err      string `json:"err,omitempty"`
 }
 
 // DeadlineForfeit is the cause attribution accompanying a forfeit the
 // crawl deadline caused (the generic Forfeit event for the same query is
 // also present in the trace).
 type DeadlineForfeit struct {
-	Query   string
-	Attempt int
+	Query   string `json:"query"`
+	Attempt int    `json:"attempt"`
 }
 
-// Health is one interface health-score movement, or a recovery-probe
-// round when Probe is set.
+// Health is one interface health-score movement (score in [0,1]), or a
+// recovery-probe round when Probe is set.
 type Health struct {
-	Iface string
-	Score float64
-	Probe bool
+	Iface string  `json:"iface"`
+	Score float64 `json:"score"`
+	Probe bool    `json:"probe,omitempty"`
 }
 
 // WalAppend is one record appended to the write-ahead journal.
 type WalAppend struct {
-	Kind   string
-	WalSeq uint64
-	Bytes  int
+	Kind   string `json:"kind"`
+	WalSeq uint64 `json:"wal_seq"`
+	Bytes  int    `json:"bytes"`
 }
 
-// Recovered is one crash recovery.
+// Recovered is one crash recovery: how much state came back from the
+// snapshot + journal, and whether a torn tail record was discarded.
 type Recovered struct {
-	Path    string
-	Records int
-	Covered int
-	Queries int
-	WalSeq  uint64
-	Torn    bool
+	Path    string `json:"path"`
+	Records int    `json:"records"`
+	Covered int    `json:"covered"`
+	Queries int    `json:"queries"`
+	WalSeq  uint64 `json:"wal_seq"`
+	Torn    bool   `json:"torn"`
 }
 
 // Event is one parsed trace line: the envelope, the original line (for
@@ -165,18 +218,29 @@ func (e *Event) Unknown() bool { return e.Data == nil }
 // KnownTypes returns the documented event types in schema order — the
 // exact set docs/TRACE_SCHEMA.md has a section for.
 func KnownTypes() []string {
-	return []string{
-		obs.EventQuery, obs.EventRound, obs.EventAlloc, obs.EventRetry,
-		obs.EventRateLimit, obs.EventCheckpoint, obs.EventPhase,
-		obs.EventFault, obs.EventBreaker, obs.EventRequeue,
-		obs.EventForfeit, obs.EventDeadlineForfeit, obs.EventHealth,
-		obs.EventWalAppend, obs.EventRecovered,
+	types := make([]string, len(schema))
+	for i, s := range schema {
+		types[i] = s.typ
 	}
+	return types
 }
 
-// Parse decodes a JSONL trace. On a malformed line it returns the events
-// parsed so far together with a line-numbered error — the torn tail of a
-// crash-interrupted session is data, not a reason to drop the session.
+// newPayload returns a fresh payload for a known event type, nil for an
+// unknown one.
+func newPayload(typ string) any {
+	for _, s := range schema {
+		if s.typ == typ {
+			return s.payload()
+		}
+	}
+	return nil
+}
+
+// Parse decodes a JSONL trace: the envelope of every line, then the same
+// line into a fresh payload of its type. On a malformed line it returns
+// the events parsed so far together with a line-numbered error — the torn
+// tail of a crash-interrupted session is data, not a reason to drop the
+// session.
 func Parse(r io.Reader) ([]Event, error) {
 	var events []Event
 	sc := bufio.NewScanner(r)
@@ -188,54 +252,22 @@ func Parse(r io.Reader) ([]Event, error) {
 		if line == "" {
 			continue
 		}
-		var u obs.Event
-		if err := json.Unmarshal([]byte(line), &u); err != nil {
+		e := Event{Raw: line}
+		err := json.Unmarshal([]byte(line), &e.Meta)
+		if err == nil {
+			if e.Data = newPayload(e.Type); e.Data != nil {
+				err = json.Unmarshal([]byte(line), e.Data)
+			}
+		}
+		if err != nil {
 			return events, fmt.Errorf("line %d: %w", lineNo, err)
 		}
-		events = append(events, project(u, line))
+		events = append(events, e)
 	}
 	if err := sc.Err(); err != nil {
 		return events, fmt.Errorf("line %d: %w", lineNo+1, err)
 	}
 	return events, nil
-}
-
-// project maps the union wire struct onto the typed payload.
-func project(u obs.Event, raw string) Event {
-	e := Event{Meta: Meta{Seq: u.Seq, TMs: u.TMs, Type: u.Type}, Raw: raw}
-	switch u.Type {
-	case obs.EventQuery:
-		e.Data = &Query{u.Query, u.EstBenefit, u.ResultSize, u.NewCovered, u.CumCovered, u.Solid, u.Iface}
-	case obs.EventRound:
-		e.Data = &Round{u.Size, u.BudgetLeft}
-	case obs.EventAlloc:
-		e.Data = &Alloc{u.Iface, u.EstBenefit, u.BudgetLeft}
-	case obs.EventRetry:
-		e.Data = &Retry{u.Query, u.Attempt, u.WaitMs, u.Err}
-	case obs.EventRateLimit:
-		e.Data = &RateLimit{u.Query, u.Tokens}
-	case obs.EventCheckpoint:
-		e.Data = &Checkpoint{u.Path, u.Covered, u.Queries}
-	case obs.EventPhase:
-		e.Data = &Phase{u.Phase, u.DurMs}
-	case obs.EventFault:
-		e.Data = &Fault{u.Query, u.Class, u.Attempt}
-	case obs.EventBreaker:
-		e.Data = &Breaker{u.From, u.To, u.Failures}
-	case obs.EventRequeue:
-		e.Data = &Requeue{u.Query, u.Attempt, u.Err}
-	case obs.EventForfeit:
-		e.Data = &Forfeit{u.Query, u.Attempt, u.Err}
-	case obs.EventDeadlineForfeit:
-		e.Data = &DeadlineForfeit{u.Query, u.Attempt}
-	case obs.EventHealth:
-		e.Data = &Health{u.Iface, u.Score, u.Probe}
-	case obs.EventWalAppend:
-		e.Data = &WalAppend{u.Kind, u.WalSeq, u.Bytes}
-	case obs.EventRecovered:
-		e.Data = &Recovered{u.Path, u.Records, u.Covered, u.Queries, u.WalSeq, u.Torn}
-	}
-	return e
 }
 
 // Canonical renders the event without its timestamp: two runs of the

@@ -1,4 +1,4 @@
-package trace
+package trace_test
 
 import (
 	"bytes"
@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"smartcrawl/internal/obs"
+	"smartcrawl/internal/trace"
 )
 
 // fakeClock advances a fixed step per call for byte-stable traces.
@@ -54,7 +55,7 @@ func emitAllTypes(t *testing.T) []byte {
 // type: nothing may come back Unknown, and the typed payloads must carry
 // the hook arguments through unchanged.
 func TestRoundTripAllTypes(t *testing.T) {
-	events, err := Parse(bytes.NewReader(emitAllTypes(t)))
+	events, err := trace.Parse(bytes.NewReader(emitAllTypes(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,30 +73,30 @@ func TestRoundTripAllTypes(t *testing.T) {
 		}
 		seen[e.Type] = true
 	}
-	for _, typ := range KnownTypes() {
+	for _, typ := range trace.KnownTypes() {
 		if !seen[typ] {
 			t.Errorf("emitAllTypes produced no %s event", typ)
 		}
 	}
 
-	// Spot-check payload fidelity across the union projection.
-	if d, ok := events[0].Data.(*Recovered); !ok || d.Records != 12 || d.WalSeq != 9 || !d.Torn {
+	// Spot-check that the typed payloads carry the hook arguments.
+	if d, ok := events[0].Data.(*trace.Recovered); !ok || d.Records != 12 || d.WalSeq != 9 || !d.Torn {
 		t.Errorf("recovered payload = %+v", events[0].Data)
 	}
-	if d, ok := events[3].Data.(*Query); !ok || d.Query != "deep web crawling" ||
+	if d, ok := events[3].Data.(*trace.Query); !ok || d.Query != "deep web crawling" ||
 		d.EstBenefit != 2.5 || d.NewCovered != 12 || d.Iface != "" {
 		t.Errorf("query payload = %+v", events[3].Data)
 	}
-	if d, ok := events[4].Data.(*Query); !ok || d.Iface != "acm" || !d.Solid || d.CumCovered != 17 {
+	if d, ok := events[4].Data.(*trace.Query); !ok || d.Iface != "acm" || !d.Solid || d.CumCovered != 17 {
 		t.Errorf("tagged query payload = %+v", events[4].Data)
 	}
-	if d, ok := events[10].Data.(*Forfeit); !ok || d.Attempts != 3 || d.Err != "breaker open" {
+	if d, ok := events[10].Data.(*trace.Forfeit); !ok || d.Attempts != 3 || d.Err != "breaker open" {
 		t.Errorf("forfeit payload = %+v", events[10].Data)
 	}
-	if d, ok := events[11].Data.(*DeadlineForfeit); !ok || d.Query != "query optimization" || d.Attempt != 3 {
+	if d, ok := events[11].Data.(*trace.DeadlineForfeit); !ok || d.Query != "query optimization" || d.Attempt != 3 {
 		t.Errorf("deadline_forfeit payload = %+v", events[11].Data)
 	}
-	if d, ok := events[12].Data.(*Health); !ok || d.Iface != "acm" || d.Score != 0.8 || !d.Probe {
+	if d, ok := events[12].Data.(*trace.Health); !ok || d.Iface != "acm" || d.Score != 0.8 || !d.Probe {
 		t.Errorf("health payload = %+v", events[12].Data)
 	}
 }
@@ -113,7 +114,7 @@ func TestKnownTypesMatchSchemaDoc(t *testing.T) {
 	for _, m := range re.FindAllStringSubmatch(string(doc), -1) {
 		documented = append(documented, m[1])
 	}
-	if got, want := strings.Join(documented, " "), strings.Join(KnownTypes(), " "); got != want {
+	if got, want := strings.Join(documented, " "), strings.Join(trace.KnownTypes(), " "); got != want {
 		t.Errorf("TRACE_SCHEMA.md headings = [%s], parser KnownTypes = [%s]", got, want)
 	}
 }
@@ -123,7 +124,7 @@ func TestKnownTypesMatchSchemaDoc(t *testing.T) {
 func TestParseTornTail(t *testing.T) {
 	full := emitAllTypes(t)
 	torn := full[:len(full)-20] // cut mid-line
-	events, err := Parse(bytes.NewReader(torn))
+	events, err := trace.Parse(bytes.NewReader(torn))
 	if err == nil {
 		t.Fatal("torn trace parsed without error")
 	}
@@ -140,7 +141,7 @@ func TestParseTornTail(t *testing.T) {
 // TestUnknownTypeSurvives pins forward compatibility.
 func TestUnknownTypeSurvives(t *testing.T) {
 	line := `{"seq":0,"t_ms":1,"type":"hologram","query":"x"}` + "\n"
-	events, err := Parse(strings.NewReader(line))
+	events, err := trace.Parse(strings.NewReader(line))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +158,11 @@ func TestUnknownTypeSurvives(t *testing.T) {
 func TestCanonicalIgnoresTime(t *testing.T) {
 	a := `{"seq":3,"t_ms":100,"type":"phase","phase":"crawl","dur_ms":250}`
 	b := `{"seq":3,"t_ms":900,"type":"phase","phase":"crawl","dur_ms":999}`
-	ea, err := Parse(strings.NewReader(a))
+	ea, err := trace.Parse(strings.NewReader(a))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eb, err := Parse(strings.NewReader(b))
+	eb, err := trace.Parse(strings.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +178,14 @@ func FuzzParseTrace(f *testing.F) {
 	f.Add([]byte(`{"seq":0,"t_ms":1,"type":"query","query":"a","est_benefit":1.5,"result_size":3,"new_covered":2,"cum_covered":2,"solid":false}`))
 	f.Add([]byte(`{"seq":0,"t_ms":1,"type":"round","size":4,"budget_left":-1}`))
 	f.Add([]byte(`{"seq":0,"t_ms":1,"type":"breaker","from":"closed","to":"open","failures":3}`))
+	// Another event type's field with the wrong JSON type ("query" is a
+	// string on query lines): a round line does not read it, so it parses.
+	f.Add([]byte(`{"seq":0,"t_ms":1,"type":"round","size":4,"budget_left":-1,"query":5}`))
 	f.Add([]byte("not json\n{}\n"))
 	f.Add([]byte(""))
 	f.Add([]byte(`{"type":"query"}` + "\n" + `{"type":"zzz"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		events, err := Parse(bytes.NewReader(data))
+		events, err := trace.Parse(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -190,7 +194,7 @@ func FuzzParseTrace(f *testing.F) {
 			raws.WriteString(events[i].Raw)
 			raws.WriteByte('\n')
 		}
-		again, err := Parse(strings.NewReader(raws.String()))
+		again, err := trace.Parse(strings.NewReader(raws.String()))
 		if err != nil {
 			t.Fatalf("preserved raw lines failed to re-parse: %v", err)
 		}
@@ -204,9 +208,9 @@ func FuzzParseTrace(f *testing.F) {
 			}
 		}
 		// Analyses must tolerate arbitrary parsed input.
-		_ = Summarize(events)
-		_ = Rounds(events)
-		_ = Top(events, ByEstimateError, 5)
-		_ = Diff(events, events)
+		_ = trace.Summarize(events)
+		_ = trace.Rounds(events)
+		_ = trace.Top(events, trace.ByEstimateError, 5)
+		_ = trace.Diff(events, events)
 	})
 }

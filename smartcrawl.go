@@ -52,6 +52,7 @@ import (
 	"smartcrawl/internal/sample"
 	"smartcrawl/internal/stats"
 	"smartcrawl/internal/tokenize"
+	"smartcrawl/internal/trace"
 )
 
 // Core data types.
@@ -100,11 +101,16 @@ type (
 	// are no-ops on a nil sink, and observation never changes crawl
 	// results.
 	Obs = obs.Obs
-	// Tracer emits structured JSONL session events (see obs.Event for
-	// the schema).
+	// Tracer emits structured JSONL session events (schema in
+	// docs/TRACE_SCHEMA.md).
 	Tracer = obs.Tracer
-	// TraceEvent is one parsed line of a JSONL session trace.
-	TraceEvent = obs.Event
+	// TraceEvent is one parsed line of a JSONL session trace: the
+	// envelope (Seq, TMs, Type), the raw line, and a typed payload in
+	// Data (*trace.Query, *trace.Round, …; nil for an unknown type).
+	TraceEvent = trace.Event
+	// TraceQuery is the payload of a `query` trace event: the query, its
+	// estimated benefit, and the coverage it actually added.
+	TraceQuery = trace.Query
 	// FaultProfile configures deterministic fault injection (see
 	// NewFaultySearcher); parse CLI specs with ParseFaultProfile.
 	FaultProfile = deepweb.FaultProfile
@@ -179,8 +185,10 @@ func NewObs() *Obs { return obs.New() }
 // Obs.SetTracer. Wrap files in a bufio.Writer and Flush before closing.
 func NewTracer(w io.Writer) *Tracer { return obs.NewTracer(w) }
 
-// ParseTrace decodes a JSONL session trace back into events.
-func ParseTrace(r io.Reader) ([]TraceEvent, error) { return obs.ParseEvents(r) }
+// ParseTrace decodes a JSONL session trace back into events. On a
+// malformed line it returns the events before it with a line-numbered
+// error.
+func ParseTrace(r io.Reader) ([]TraceEvent, error) { return trace.Parse(r) }
 
 // NewTokenizer returns the default tokenizer (English stop words).
 func NewTokenizer() *Tokenizer { return tokenize.New() }
